@@ -6,19 +6,14 @@ from .couplings import (
     DerivedCouplings,
     InstabilityError,
     MagneticInstabilityError,
+    MonteCarloEstimate,
     derive_couplings,
     dressed_matter_frequency,
     dressed_photon_frequency,
-)
-from .emitters import (
-    Emitter,
-    MonteCarloEstimate,
-    ReciprocityResult,
-    check_reciprocity,
-    chiral_tdm_vector,
     orientation_averaged_coupling_sq,
     sample_orientation_coupling,
 )
+from .emitters import Emitter, ReciprocityResult, check_reciprocity, chiral_tdm_vector
 from .fields import (
     SPEED_OF_LIGHT_AU,
     CavityMode,
@@ -51,7 +46,6 @@ from .hopfield import (
     polariton_frequencies_local_selfpol,
     solve_polaritons,
     stability_factors,
-    vacuum_energy,
 )
 from .scantable import ScanTable
 from .tavis_cummings import TCSpectrum, dispersion_scan, single_excitation_spectrum

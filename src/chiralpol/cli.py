@@ -3,15 +3,15 @@
 Subcommands: scan-cavity, scan-n, scan-dispersion, oracle. Each reads an
 optional flat `key = value` config file, applies repeatable --set overrides,
 and writes a deterministic CSV (stdout by default). Exit codes: 0 ok,
-1 config error, 2 oracle deviation above tol, 3 instability rows present
-with --strict.
+1 config error, 2 the run's own check failed (oracle deviation above tol),
+3 instability rows present with --strict.
 """
 
 import argparse
 import sys
 
 from .config import ConfigError, load_config_file, merge_config, parse_config_text
-from .scans import SCAN_COMMANDS, OracleSuiteResult
+from .scans import SCAN_COMMANDS
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -69,15 +69,10 @@ def main(argv=None) -> int:
     try:
         table_config = _effective_config(args)
         _, runner = SCAN_COMMANDS[args.command]
-        result = runner(table_config)
+        table = runner(table_config)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1
-
-    if isinstance(result, OracleSuiteResult):
-        table = result.table
-    else:
-        table = result
 
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
@@ -85,12 +80,8 @@ def main(argv=None) -> int:
     else:
         table.write(sys.stdout)
 
-    if isinstance(result, OracleSuiteResult) and result.worst_deviation > result.tol:
-        print(
-            f"oracle deviation {result.worst_deviation:.3e} exceeds "
-            f"tol {result.tol:.3e}",
-            file=sys.stderr,
-        )
+    if table.failure:
+        print(table.failure, file=sys.stderr)
         return 2
     if args.strict and "unstable" in table.column_names:
         if any(v != 0.0 for v in table.column("unstable")):

@@ -7,6 +7,8 @@ every CSV, so a result file's header is itself a valid configuration that
 reproduces the run.
 """
 
+import math
+
 import numpy as np
 
 from .scantable import format_number
@@ -64,9 +66,12 @@ def merge_config(defaults: dict, *layers: dict) -> dict:
 
 def config_float(table: dict, key: str) -> float:
     try:
-        return float(table[key])
+        value = float(table[key])
     except ValueError as err:
         raise ConfigError(f"key '{key}': expected a number, got {table[key]!r}") from err
+    if not math.isfinite(value):
+        raise ConfigError(f"key '{key}': expected a finite number, got {table[key]!r}")
+    return value
 
 
 def config_int(table: dict, key: str) -> int:
@@ -103,11 +108,14 @@ def config_floats(table: dict, key: str, count: int) -> np.ndarray:
             f"key '{key}': expected {count} comma-separated numbers, got {len(parts)}"
         )
     try:
-        return np.array([float(p) for p in parts])
+        values = np.array([float(p) for p in parts])
     except ValueError as err:
         raise ConfigError(
             f"key '{key}': expected numbers, got {table[key]!r}"
         ) from err
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"key '{key}': expected finite numbers, got {table[key]!r}")
+    return values
 
 
 def render_value(value) -> str:

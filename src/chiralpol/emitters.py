@@ -1,13 +1,10 @@
-"""Chiral emitters: tensor electric-to-magnetic TDM mapping, reciprocity,
-and orientation averages of the squared coupling."""
+"""Chiral emitters: tensor electric-to-magnetic TDM mapping and reciprocity."""
 
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial.transform import Rotation
-
-from .fields import CavityMode, standing_wave_polarization
 
 _ORTHOGONALITY_TOL = 1e-12
 _SYMMETRY_TOL = 1e-12
@@ -114,106 +111,3 @@ def check_reciprocity(xi_scale, rotation) -> ReciprocityResult:
     defect = float(np.linalg.norm(rot.T @ rot - np.eye(3)))
     ok = imag <= _RECIPROCITY_TOL and defect <= _RECIPROCITY_TOL
     return ReciprocityResult(ok, float(imag), defect)
-
-
-def _coupling_sq_prefactor(emitter: Emitter, mode: CavityMode, n_emitters: int) -> float:
-    # hbar*omega_m_tilde*omega_k^2 / (2*eps0*V*omega_k_bar*omega_m) with
-    # 1/(eps0*V) = eta^2; dressed frequencies at the reference orientation.
-    from .couplings import dressed_matter_frequency, dressed_photon_frequency
-
-    omega_k_bar = dressed_photon_frequency(emitter.chi_m, mode, n_emitters)
-    omega_m_tilde = dressed_matter_frequency(emitter, mode, n_emitters)
-    return (
-        mode.eta**2
-        * omega_m_tilde
-        * mode.omega_k**2
-        / (2.0 * omega_k_bar * emitter.omega_m)
-    )
-
-
-def orientation_averaged_coupling_sq(
-    emitter: Emitter, mode: CavityMode, n_emitters: int
-) -> float:
-    """Isotropic average of the squared collective coupling |g|^2.
-
-    Closed form (N/3) * prefactor * [(1+s^2)|mu|^2 + 2 lambda s <mu|U mu>];
-    only the chiral component (parallel projection of U mu on mu) is
-    handedness-selective.
-    """
-    s = emitter.xi_scale
-    lam = mode.handedness
-    mu = emitter.mu
-    bracket = (1.0 + s * s) * float(mu @ mu) + 2.0 * lam * s * float(
-        mu @ emitter.xi_rotation @ mu
-    )
-    prefactor = _coupling_sq_prefactor(emitter, mode, n_emitters)
-    return n_emitters / 3.0 * prefactor * bracket
-
-
-class MonteCarloEstimate(NamedTuple):
-    value: float
-    stderr: float
-
-
-def _geodesic_rotations(mu_hat: np.ndarray, n_hat: np.ndarray) -> Rotation:
-    """Minimal rotations mapping mu_hat onto each row of n_hat."""
-    axis = np.cross(mu_hat, n_hat)
-    sin = np.linalg.norm(axis, axis=1)
-    cos = n_hat @ mu_hat
-    angle = np.arctan2(sin, cos)
-    # antipodal draws: rotate by pi about any axis perpendicular to mu_hat
-    perp = np.cross(mu_hat, [1.0, 0.0, 0.0])
-    if np.linalg.norm(perp) < 1e-6:
-        perp = np.cross(mu_hat, [0.0, 1.0, 0.0])
-    perp /= np.linalg.norm(perp)
-    degen = sin < 1e-15
-    safe_sin = np.where(degen, 1.0, sin)
-    axis = np.where(degen[:, None], perp, axis / safe_sin[:, None])
-    return Rotation.from_rotvec(axis * angle[:, None])
-
-
-def sample_orientation_coupling(
-    emitter: Emitter,
-    mode: CavityMode,
-    n_emitters: int,
-    seed: int,
-    n_samples: int,
-) -> MonteCarloEstimate:
-    """Monte-Carlo estimate of the orientation-averaged squared coupling.
-
-    Samples molecular orientations from the Haar measure (cos(theta)
-    uniform on [-1, 1]; azimuth and roll delta uniform on [0, 2pi)) and
-    averages the squared projection of the rotated combined moment
-    (1 + lambda s U) mu onto the mode polarization. Deterministic for a
-    fixed seed; converges to orientation_averaged_coupling_sq.
-    """
-    if n_samples < 100:
-        raise ValueError(f"n_samples must be at least 100, got {n_samples}")
-    eps = standing_wave_polarization(mode)
-    mu = emitter.mu
-    mu_norm = np.linalg.norm(mu)
-    if mu_norm == 0.0:
-        raise ValueError("orientation sampling undefined for mu = 0")
-    mu_hat = mu / mu_norm
-
-    rng = np.random.default_rng(seed)
-    cos_theta = rng.uniform(-1.0, 1.0, n_samples)
-    phi = rng.uniform(0.0, 2.0 * np.pi, n_samples)
-    delta = rng.uniform(0.0, 2.0 * np.pi, n_samples)
-
-    sin_theta = np.sqrt(1.0 - cos_theta**2)
-    n_hat = np.column_stack(
-        (sin_theta * np.cos(phi), sin_theta * np.sin(phi), cos_theta)
-    )
-    rotations = Rotation.from_rotvec(n_hat * delta[:, None]) * _geodesic_rotations(
-        mu_hat, n_hat
-    )
-
-    combined = mu + mode.handedness * emitter.xi_scale * emitter.xi_rotation @ mu
-    projections = rotations.apply(combined) @ eps
-    samples = projections**2
-
-    scale = n_emitters * _coupling_sq_prefactor(emitter, mode, n_emitters)
-    value = scale * float(np.mean(samples))
-    stderr = scale * float(np.std(samples, ddof=1) / np.sqrt(n_samples))
-    return MonteCarloEstimate(value, stderr)

@@ -22,22 +22,16 @@ from .couplings import DerivedCouplings
 @dataclass(frozen=True)
 class FockConfig:
     """cutoff: max occupation per mode; tol: relative acceptance tolerance on
-    the polariton frequencies; convergence_factor: cutoff multiplier for the
-    doubling check."""
+    the polariton frequencies."""
 
     cutoff: int = 40
     tol: float = 1e-8
-    convergence_factor: int = 2
 
     def __post_init__(self):
         if self.cutoff < 4:
             raise ValueError(f"cutoff must be at least 4, got {self.cutoff}")
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.convergence_factor < 2:
-            raise ValueError(
-                f"convergence_factor must be at least 2, got {self.convergence_factor}"
-            )
 
 
 def _destroy(dim: int) -> np.ndarray:
@@ -223,6 +217,7 @@ class OracleReport:
         "ladder_residual",
         "degenerate",
         "ambiguous",
+        "converged",
     )
 
     def csv_row(self) -> tuple:
@@ -238,6 +233,7 @@ class OracleReport:
             self.ladder_residual,
             float(self.degenerate),
             float(self.ambiguous),
+            float("nan") if self.converged is None else float(self.converged),
         )
 
 
@@ -251,7 +247,7 @@ def oracle_check(
     E0 is compared against (Omega+ + Omega-)/2 for information only; the
     physically meaningful vacuum comparison is on differences across the
     sign of xi, for which absolute constants drop out. With
-    check_convergence the run is repeated at cutoff*convergence_factor and
+    check_convergence the run is repeated at twice the cutoff and
     `converged` records whether the deviations stopped growing (down to the
     tol floor); both gap values are reported either way.
     """
@@ -283,9 +279,7 @@ def oracle_check(
         cutoff=config.cutoff,
     )
     if check_convergence:
-        _, fit2, dev2_plus, dev2_minus = gaps_at(
-            config.cutoff * config.convergence_factor
-        )
+        _, fit2, dev2_plus, dev2_minus = gaps_at(2 * config.cutoff)
         report.update(
             converged=(
                 dev2_plus <= max(dev_plus, config.tol)

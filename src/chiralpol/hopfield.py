@@ -235,16 +235,29 @@ def solve_polaritons(c: DerivedCouplings) -> PolaritonSolution:
     )
 
 
-def vacuum_energy(solution: PolaritonSolution) -> float:
-    """Zero-point energy (Omega_plus + Omega_minus)/2, up to a constant
-    independent of the emitter handedness."""
-    return solution.e_vac
-
-
 class DiscriminationResult(NamedTuple):
     delta_omega_plus: float
     delta_omega_minus: float
     delta_e_vac: float
+
+
+def enantiomer_difference(
+    left: Emitter,
+    right: Emitter,
+    mode: CavityMode,
+    n_emitters: int,
+    selfpol: str = "collective",
+) -> DiscriminationResult:
+    """Spectra of the `left` enantiomer minus those of `right` in one mode.
+
+    Propagates instability of either solution.
+    """
+    up_l, low_l = polariton_frequencies(derive_couplings(left, mode, n_emitters, selfpol))
+    up_r, low_r = polariton_frequencies(derive_couplings(right, mode, n_emitters, selfpol))
+    # difference per branch first: the deltas are many orders below the
+    # absolute frequencies and must vanish exactly for achiral emitters
+    d_up, d_low = up_l - up_r, low_l - low_r
+    return DiscriminationResult(d_up, d_low, 0.5 * (d_up + d_low))
 
 
 def discrimination(
@@ -258,15 +271,7 @@ def discrimination(
     magnitude = abs(emitter.xi_scale)
     left = dataclasses.replace(emitter, xi_scale=+magnitude)
     right = dataclasses.replace(emitter, xi_scale=-magnitude)
-    up_l, low_l = polariton_frequencies(derive_couplings(left, mode, n_emitters))
-    up_r, low_r = polariton_frequencies(derive_couplings(right, mode, n_emitters))
-    # difference per branch first: the deltas are many orders below the
-    # absolute frequencies and must vanish exactly for achiral emitters
-    return DiscriminationResult(
-        delta_omega_plus=up_l - up_r,
-        delta_omega_minus=low_l - low_r,
-        delta_e_vac=0.5 * ((up_l - up_r) + (low_l - low_r)),
-    )
+    return enantiomer_difference(left, right, mode, n_emitters)
 
 
 def polariton_frequencies_local_selfpol(

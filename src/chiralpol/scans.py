@@ -14,7 +14,7 @@ without printing them) and can be overridden per run.
 """
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -28,10 +28,15 @@ from .config import (
     render_value,
 )
 from .couplings import DerivedCouplings, InstabilityError, derive_couplings
-from .emitters import Emitter
+from .emitters import Emitter, chiral_tdm_vector
 from .fields import SPEED_OF_LIGHT_AU, CavityMode
 from .fock_oracle import FockConfig, OracleReport, oracle_check
-from .hopfield import polariton_frequencies, solve_polaritons, stability_factors
+from .hopfield import (
+    enantiomer_difference,
+    polariton_frequencies,
+    solve_polaritons,
+    stability_factors,
+)
 from .scantable import ScanTable
 from .tavis_cummings import dispersion_scan as tc_dispersion_scan
 
@@ -69,7 +74,6 @@ CAVITY_DEFAULTS = {
     "xi_min": "-1",
     "xi_max": "1",
     "xi_points": "21",
-    "seed": "0",
 }
 
 N_SCAN_DEFAULTS = {
@@ -78,7 +82,6 @@ N_SCAN_DEFAULTS = {
     "omega_k": "auto",
     "n_max_exp": "20",
     "selfpol": "collective",
-    "seed": "0",
 }
 
 DISPERSION_DEFAULTS = {
@@ -88,7 +91,6 @@ DISPERSION_DEFAULTS = {
     "k_par_min": "0",
     "k_par_max": "auto",
     "k_par_points": "41",
-    "seed": "0",
 }
 
 ORACLE_DEFAULTS = {
@@ -137,49 +139,47 @@ class SystemConfig:
         )
 
 
+def _require(ok: bool, key: str, value, requirement: str = "must be positive") -> None:
+    if not ok:
+        raise ConfigError(f"key '{key}': {requirement}, got {value}")
+
+
 def _system_from(table: dict) -> SystemConfig:
-    handedness = config_int(table, "handedness")
-    if handedness not in (1, -1):
-        raise ConfigError(f"key 'handedness': expected 1 or -1, got {handedness}")
     omega_m = config_float(table, "omega_m")
-    if not omega_m > 0:
-        raise ConfigError(f"key 'omega_m': must be positive, got {omega_m}")
     # k_z = omega_m/c is the resonant vertical vacuum mode; it only enters
     # through quadrupole/self-magnetization contractions and the dispersion
     if table["k_z"] == "auto":
         k_z = omega_m / SPEED_OF_LIGHT_AU
     else:
         k_z = config_float(table, "k_z")
+    system = SystemConfig(
+        handedness=config_int(table, "handedness"),
+        eta=config_float(table, "eta"),
+        omega_m=omega_m,
+        mu=config_floats(table, "mu", 3),
+        quadrupole=config_floats(table, "quadrupole", 9).reshape(3, 3),
+        chi_m=config_floats(table, "chi_m", 9).reshape(3, 3),
+        xi_rotation=config_floats(table, "xi_rotation", 9).reshape(3, 3),
+        roll_delta=config_float(table, "roll_delta"),
+        z=config_float(table, "z"),
+        k_z=k_z,
+    )
+    # one reference emitter and mode run the model's own input checks
+    # (omega_m > 0, orthogonal xi_rotation, a roll axis, handedness +-1, ...)
     try:
-        return SystemConfig(
-            handedness=handedness,
-            eta=config_float(table, "eta"),
-            omega_m=omega_m,
-            mu=config_floats(table, "mu", 3),
-            quadrupole=config_floats(table, "quadrupole", 9).reshape(3, 3),
-            chi_m=config_floats(table, "chi_m", 9).reshape(3, 3),
-            xi_rotation=config_floats(table, "xi_rotation", 9).reshape(3, 3),
-            roll_delta=config_float(table, "roll_delta"),
-            z=config_float(table, "z"),
-            k_z=k_z,
-        )
+        chiral_tdm_vector(system.emitter(0.0))
+        system.mode(omega_m)
     except ValueError as err:
         raise ConfigError(str(err)) from err
+    return system
 
 
-def _system_echo(system: SystemConfig) -> list:
-    return [
-        ("handedness", render_value(system.handedness)),
-        ("eta", render_value(system.eta)),
-        ("omega_m", render_value(system.omega_m)),
-        ("mu", render_value(system.mu)),
-        ("quadrupole", render_value(system.quadrupole)),
-        ("chi_m", render_value(system.chi_m)),
-        ("xi_rotation", render_value(system.xi_rotation)),
-        ("roll_delta", render_value(system.roll_delta)),
-        ("z", render_value(system.z)),
-        ("k_z", render_value(system.k_z)),
-    ]
+def _echo(command: str, defaults: dict, values: dict) -> tuple:
+    """CSV metadata: the command, then each config key in defaults order with
+    its effective value, so the header reproduces the run."""
+    return (("command", command),) + tuple(
+        (key, render_value(values[key])) for key in defaults
+    )
 
 
 def _grid(low: float, high: float, points: int, key: str) -> np.ndarray:
@@ -192,8 +192,7 @@ def _grid(low: float, high: float, points: int, key: str) -> np.ndarray:
     handedness mirror (xi, lambda) -> (-xi, -lambda) must find every
     row's partner on the same grid.
     """
-    if points < 1:
-        raise ConfigError(f"key '{key}': needs at least one point, got {points}")
+    _require(points >= 1, key, points, "needs at least one point")
     if points == 1:
         return np.array([low])
     grid = np.linspace(low, high, points)
@@ -214,6 +213,7 @@ def scan_cavity(table: dict) -> ScanTable:
     """
     system = _system_from(table)
     n_emitters = config_int(table, "n_emitters")
+    _require(n_emitters >= 1, "n_emitters", n_emitters, "must be at least 1")
     omega_lo = (
         0.8 * system.omega_m
         if table["omega_k_min"] == "auto"
@@ -224,6 +224,8 @@ def scan_cavity(table: dict) -> ScanTable:
         if table["omega_k_max"] == "auto"
         else config_float(table, "omega_k_max")
     )
+    _require(omega_lo > 0, "omega_k_min", omega_lo)
+    _require(omega_hi > 0, "omega_k_max", omega_hi)
     omegas = _grid(omega_lo, omega_hi, config_int(table, "omega_k_points"), "omega_k_points")
     xis = _grid(
         config_float(table, "xi_min"),
@@ -258,20 +260,6 @@ def scan_cavity(table: dict) -> ScanTable:
             except InstabilityError:
                 rows.append((omega_k, xi) + (0.0,) * 9 + (1.0,))
 
-    metadata = (
-        [("command", "scan-cavity")]
-        + _system_echo(system)
-        + [
-            ("n_emitters", render_value(n_emitters)),
-            ("omega_k_min", render_value(omega_lo)),
-            ("omega_k_max", render_value(omega_hi)),
-            ("omega_k_points", render_value(len(omegas))),
-            ("xi_min", render_value(xis[0])),
-            ("xi_max", render_value(xis[-1])),
-            ("xi_points", render_value(len(xis))),
-            ("seed", table["seed"]),
-        ]
-    )
     return ScanTable(
         column_names=(
             "omega_k",
@@ -288,7 +276,20 @@ def scan_cavity(table: dict) -> ScanTable:
             "unstable",
         ),
         rows=tuple(rows),
-        metadata=tuple(metadata),
+        metadata=_echo(
+            "scan-cavity",
+            CAVITY_DEFAULTS,
+            {
+                **vars(system),
+                "n_emitters": n_emitters,
+                "omega_k_min": omega_lo,
+                "omega_k_max": omega_hi,
+                "omega_k_points": len(omegas),
+                "xi_min": xis[0],
+                "xi_max": xis[-1],
+                "xi_points": len(xis),
+            },
+        ),
     )
 
 
@@ -322,9 +323,9 @@ def scan_n(table: dict) -> ScanTable:
         if table["omega_k"] == "auto"
         else config_float(table, "omega_k")
     )
+    _require(omega_k > 0, "omega_k", omega_k)
     n_max_exp = config_int(table, "n_max_exp")
-    if not 0 <= n_max_exp <= 60:
-        raise ConfigError(f"key 'n_max_exp': expected 0..60, got {n_max_exp}")
+    _require(0 <= n_max_exp <= 60, "n_max_exp", n_max_exp, "expected 0..60")
     selfpol = config_choice(table, "selfpol", ("collective", "local"))
     mode = system.mode(omega_k)
     left = system.emitter(abs(xi))
@@ -334,10 +335,7 @@ def scan_n(table: dict) -> ScanTable:
     deltas = []
     for n in n_values:
         try:
-            up_l, low_l = polariton_frequencies(derive_couplings(left, mode, n, selfpol))
-            up_r, low_r = polariton_frequencies(derive_couplings(right, mode, n, selfpol))
-            d_up, d_low = up_l - up_r, low_l - low_r
-            deltas.append((d_up, d_low, 0.5 * (d_up + d_low), False))
+            deltas.append((*enantiomer_difference(left, right, mode, n, selfpol), False))
         except InstabilityError:
             deltas.append((0.0, 0.0, 0.0, True))
 
@@ -348,17 +346,6 @@ def scan_n(table: dict) -> ScanTable:
         for n, (d_up, d_low, d_evac, unstable), slope in zip(n_values, deltas, slopes)
     )
 
-    metadata = (
-        [("command", "scan-n")]
-        + _system_echo(system)
-        + [
-            ("xi", render_value(xi)),
-            ("omega_k", render_value(omega_k)),
-            ("n_max_exp", render_value(n_max_exp)),
-            ("selfpol", selfpol),
-            ("seed", table["seed"]),
-        ]
-    )
     return ScanTable(
         column_names=(
             "n",
@@ -369,22 +356,37 @@ def scan_n(table: dict) -> ScanTable:
             "unstable",
         ),
         rows=rows,
-        metadata=tuple(metadata),
+        metadata=_echo(
+            "scan-n",
+            N_SCAN_DEFAULTS,
+            {
+                **vars(system),
+                "xi": xi,
+                "omega_k": omega_k,
+                "n_max_exp": n_max_exp,
+                "selfpol": selfpol,
+            },
+        ),
     )
 
 
 def scan_dispersion(table: dict) -> ScanTable:
     """Bright-sector Tavis-Cummings polaritons along the in-plane dispersion."""
     system = _system_from(table)
+    _require(system.k_z > 0, "k_z", system.k_z)
     n_emitters = config_int(table, "n_emitters")
+    _require(n_emitters >= 1, "n_emitters", n_emitters, "must be at least 1")
     xi = config_float(table, "xi")
+    k_par_min = config_float(table, "k_par_min")
     k_par_max = (
         system.k_z
         if table["k_par_max"] == "auto"
         else config_float(table, "k_par_max")
     )
+    _require(k_par_min >= 0, "k_par_min", k_par_min, "must be nonnegative")
+    _require(k_par_max >= 0, "k_par_max", k_par_max, "must be nonnegative")
     k_pars = _grid(
-        config_float(table, "k_par_min"),
+        k_par_min,
         k_par_max,
         config_int(table, "k_par_points"),
         "k_par_points",
@@ -392,27 +394,22 @@ def scan_dispersion(table: dict) -> ScanTable:
     base = system.mode(SPEED_OF_LIGHT_AU * system.k_z)
     core = tc_dispersion_scan(system.emitter(xi), base, k_pars, n_emitters)
 
-    metadata = (
-        [("command", "scan-dispersion")]
-        + _system_echo(system)
-        + [
-            ("xi", render_value(xi)),
-            ("n_emitters", render_value(n_emitters)),
-            ("k_par_min", render_value(k_pars[0])),
-            ("k_par_max", render_value(k_par_max)),
-            ("k_par_points", render_value(len(k_pars))),
-            ("seed", table["seed"]),
-        ]
-    )
     return ScanTable(
-        column_names=core.column_names, rows=core.rows, metadata=tuple(metadata)
+        column_names=core.column_names,
+        rows=core.rows,
+        metadata=_echo(
+            "scan-dispersion",
+            DISPERSION_DEFAULTS,
+            {
+                **vars(system),
+                "xi": xi,
+                "n_emitters": n_emitters,
+                "k_par_min": k_pars[0],
+                "k_par_max": k_par_max,
+                "k_par_points": len(k_pars),
+            },
+        ),
     )
-
-
-class OracleSuiteResult(NamedTuple):
-    table: ScanTable
-    worst_deviation: float
-    tol: float
 
 
 def sample_stable_couplings(
@@ -450,13 +447,14 @@ def sample_stable_couplings(
     raise RuntimeError("rejection sampling failed to find a stable parameter set")
 
 
-def run_oracle_suite(table: dict) -> OracleSuiteResult:
+def run_oracle_suite(table: dict) -> ScanTable:
     """Randomized analytic-vs-Fock regression grid.
 
-    Deterministic for a fixed seed. The worst relative deviation of either
-    branch across the grid decides the CLI exit status (2 when above tol).
+    Deterministic for a fixed seed. A worst relative deviation of either
+    branch above tol sets the table's `failure` (CLI exit status 2).
     """
     n_sets = config_int(table, "oracle_sets")
+    _require(n_sets >= 1, "oracle_sets", n_sets, "must be at least 1")
     cutoff = config_int(table, "fock_cutoff")
     fock_tol = config_float(table, "fock_tol")
     tol = config_float(table, "tol")
@@ -486,16 +484,15 @@ def run_oracle_suite(table: dict) -> OracleSuiteResult:
             + report.csv_row()
         )
 
-    metadata = [("command", "oracle")] + [
-        (key, table[key]) for key in ORACLE_DEFAULTS
-    ]
-    result_table = ScanTable(
+    return ScanTable(
         column_names=("set_index", "omega_k_bar", "omega_m_tilde", "coupling", "xi_lambda")
         + OracleReport.CSV_COLUMNS,
         rows=tuple(rows),
-        metadata=tuple(metadata),
+        metadata=_echo("oracle", ORACLE_DEFAULTS, table),
+        failure=(
+            f"oracle deviation {worst:.3e} exceeds tol {tol:.3e}" if worst > tol else ""
+        ),
     )
-    return OracleSuiteResult(result_table, worst, tol)
 
 
 SCAN_COMMANDS: dict[str, tuple[dict, Callable]] = {

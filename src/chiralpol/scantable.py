@@ -19,6 +19,7 @@ class ScanTable:
     column_names: tuple
     rows: tuple
     metadata: tuple  # ordered (key, value-string) pairs
+    failure: str = ""  # why the run's own check failed; not part of the CSV
 
     def __post_init__(self):
         object.__setattr__(self, "column_names", tuple(self.column_names))

@@ -14,7 +14,7 @@ import numpy as np
 from .couplings import DerivedCouplings
 from .emitters import Emitter, chiral_tdm_vector
 from .fields import CavityMode, oblique_mode, standing_wave_polarization_oblique
-from .scantable import ScanTable, format_number
+from .scantable import ScanTable
 
 
 @dataclass(frozen=True)
@@ -94,15 +94,6 @@ def dispersion_scan(
         )
         upper, lower = _bright_doublet(emitter.omega_m, row_mode.omega_k, coupling)
         rows.append((float(k_par), row_mode.omega_k, coupling, upper, lower))
-    metadata = (
-        ("handedness", str(lam)),
-        ("eta", format_number(mode.eta)),
-        ("k_z", format_number(mode.k_z)),
-        ("z", format_number(mode.z)),
-        ("omega_m", format_number(emitter.omega_m)),
-        ("xi_scale", format_number(emitter.xi_scale)),
-        ("n_emitters", str(n_emitters)),
-    )
     return ScanTable(
         column_names=(
             "k_par",
@@ -112,5 +103,5 @@ def dispersion_scan(
             "polariton_lower",
         ),
         rows=tuple(rows),
-        metadata=metadata,
+        metadata=(),
     )

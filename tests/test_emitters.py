@@ -5,13 +5,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.spatial.transform import Rotation
 
-from chiralpol.emitters import (
-    Emitter,
-    check_reciprocity,
-    chiral_tdm_vector,
+from chiralpol.couplings import (
     orientation_averaged_coupling_sq,
     sample_orientation_coupling,
 )
+from chiralpol.emitters import Emitter, check_reciprocity, chiral_tdm_vector
 from chiralpol.fields import CavityMode
 
 

@@ -217,5 +217,3 @@ class TestSpectrum:
             FockConfig(cutoff=2)
         with pytest.raises(ValueError, match="tol"):
             FockConfig(tol=0.0)
-        with pytest.raises(ValueError, match="convergence_factor"):
-            FockConfig(convergence_factor=1)

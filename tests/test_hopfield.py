@@ -20,7 +20,6 @@ from chiralpol.hopfield import (
     polariton_frequencies_local_selfpol,
     solve_polaritons,
     stability_factors,
-    vacuum_energy,
 )
 
 
@@ -264,7 +263,7 @@ class TestDiscrimination:
 
     def test_vacuum_energy_accessor(self):
         sol = solve_polaritons(couplings(g=0.1, xi=1.0))
-        assert vacuum_energy(sol) == pytest.approx((1.2 + 0.8) / 2, abs=1e-12)
+        assert sol.e_vac == pytest.approx((1.2 + 0.8) / 2, abs=1e-12)
 
 
 class TestLocalSelfPolarization:

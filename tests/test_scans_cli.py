@@ -8,7 +8,9 @@ from numpy.testing import assert_allclose
 from chiralpol.cli import main
 from chiralpol.config import read_csv_metadata
 from chiralpol.couplings import DerivedCouplings
-from chiralpol.hopfield import polariton_frequencies
+from chiralpol.emitters import Emitter
+from chiralpol.fields import SPEED_OF_LIGHT_AU, CavityMode
+from chiralpol.hopfield import discrimination, enantiomer_difference, polariton_frequencies
 from chiralpol.scans import (
     CAVITY_DEFAULTS,
     N_SCAN_DEFAULTS,
@@ -78,6 +80,31 @@ class TestExitCodes:
         code, _, _ = run_cli(["scan-cavity", "--frobnicate"])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan-n", "--set", "mu=nan,0,0"],
+            ["scan-cavity", "--set", "eta=inf"],
+            ["scan-cavity", "--set", "xi_min=nan"],
+            ["scan-dispersion", "--set", "k_par_max=-1"],
+            ["scan-cavity", "--set", "omega_k_min=-1"],
+            ["scan-n", "--set", "omega_k=0"],
+            ["scan-cavity", "--set", "n_emitters=0"],
+            ["scan-cavity", "--set", "xi_rotation=2,0,0,0,1,0,0,0,1"],
+            ["scan-n", "--set", "mu=0,0,0", "--set", "roll_delta=1"],
+            ["oracle", "--set", "oracle_sets=0"],
+            ["oracle", "--set", "oracle_sets=-3"],
+            ["scan-cavity", "--seed", "3"],
+        ],
+        ids=lambda argv: "_".join(a for a in argv if a != "--set"),
+    )
+    def test_malformed_input_is_a_one_line_config_error(self, argv):
+        code, out, err = run_cli(argv)
+        assert code == 1
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert out == ""
+
 
 class TestDeterminism:
     def test_identical_config_gives_identical_bytes(self):
@@ -96,16 +123,27 @@ class TestDeterminism:
         _, two, _ = run_cli(["oracle", "--set", "oracle_sets=3", "--seed", "2"])
         assert one != two
 
-    def test_metadata_round_trips_to_identical_run(self, tmp_path):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan-cavity", *SMALL_CAVITY],
+            ["scan-n", "--set", "n_max_exp=6"],
+            ["scan-dispersion"],
+            ["oracle", "--set", "oracle_sets=2", "--set", "fock_cutoff=12"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_metadata_round_trips_to_identical_run(self, tmp_path, argv):
+        command = argv[0]
         out = tmp_path / "scan.csv"
-        code, _, _ = run_cli(
-            ["scan-n", "--set", "n_max_exp=6", "--out", str(out)]
-        )
+        code, _, _ = run_cli([*argv, "--out", str(out)])
         assert code == 0
         first = out.read_text()
         meta = read_csv_metadata(out)
-        assert meta.pop("command") == "scan-n"
-        rerun_args = ["scan-n"]
+        assert meta.pop("command") == command
+        # only the oracle draws random numbers
+        assert ("seed" in meta) == (command == "oracle")
+        rerun_args = [command]
         for key, value in meta.items():
             rerun_args += ["--set", f"{key}={value}"]
         code, second, _ = run_cli(rerun_args)
@@ -189,6 +227,25 @@ class TestScanN:
             if record["unstable"]:
                 assert record["delta_e_vac"] == 0.0
 
+    @pytest.mark.parametrize("selfpol", ["collective", "local"])
+    def test_rows_equal_the_shared_enantiomer_difference(self, selfpol):
+        table = scan_n({**N_SCAN_DEFAULTS, "selfpol": selfpol})
+        xi = float(N_SCAN_DEFAULTS["xi"])
+        left = Emitter.collinear(0.1, [2.0, 0, 0], xi=xi)
+        right = Emitter.collinear(0.1, [2.0, 0, 0], xi=-xi)
+        mode = CavityMode(1, 0.1, 0.001, 0.1 / SPEED_OF_LIGHT_AU, 0.0)
+        stable = 0
+        for n, d_up, d_low, d_evac, _, unstable in table.rows:
+            if unstable:
+                continue
+            stable += 1
+            if selfpol == "collective":
+                expected = discrimination(left, mode, int(n))
+            else:
+                expected = enantiomer_difference(left, right, mode, int(n), selfpol)
+            assert (d_up, d_low, d_evac) == tuple(expected)
+        assert stable > 0
+
     def test_low_n_slope_is_linear(self):
         table = scan_n({**N_SCAN_DEFAULTS, "n_max_exp": "3"})
         slopes = table.column("slope_delta_e_vac")
@@ -196,8 +253,28 @@ class TestScanN:
 
 
 class TestOracleSuiteSampling:
+    @pytest.mark.parametrize("check", ["0", "1"])
+    def test_converged_column_reports_the_convergence_check(self, check):
+        code, out, _ = run_cli(
+            [
+                "oracle",
+                "--set", "oracle_sets=2",
+                "--set", "fock_cutoff=12",
+                "--set", f"check_convergence={check}",
+            ]
+        )
+        assert code == 0
+        header, *rows = [line for line in out.splitlines() if not line.startswith("#")]
+        column = header.split(",").index("converged")
+        converged = [float(row.split(",")[column]) for row in rows]
+        assert len(converged) == 2
+        if check == "1":
+            assert all(value in (0.0, 1.0) for value in converged)
+        else:
+            assert all(np.isnan(value) for value in converged)
+
     def test_samples_respect_criterion_ranges(self):
-        result = run_oracle_suite(
+        table = run_oracle_suite(
             {
                 "oracle_sets": "25",
                 "fock_cutoff": "12",
@@ -207,7 +284,6 @@ class TestOracleSuiteSampling:
                 "seed": "5",
             }
         )
-        table = result.table
         w1 = np.array(table.column("omega_k_bar"))
         w2 = np.array(table.column("omega_m_tilde"))
         g = np.array(table.column("coupling"))
@@ -216,4 +292,4 @@ class TestOracleSuiteSampling:
         assert np.all((0.5 <= w2) & (w2 <= 2.0))
         assert np.all(g <= 0.3 * w2)
         assert np.all(np.abs(xi) <= 1.0)
-        assert result.worst_deviation < 1e-4
+        assert max(table.column("dev_plus") + table.column("dev_minus")) < 1e-4
