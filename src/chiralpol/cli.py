@@ -73,6 +73,9 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1
+    except OverflowError as err:
+        print(f"config error: numeric overflow ({err})", file=sys.stderr)
+        return 1
 
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as handle:

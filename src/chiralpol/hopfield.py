@@ -28,7 +28,7 @@ _RESIDUAL_TOL = 1e-8
 
 
 class PolaritonInstabilityError(InstabilityError):
-    """The lower polariton branch squared turned negative (or complex pair)."""
+    """The quadratic Hamiltonian is not positive definite: no polariton basis."""
 
 
 def _coupling_terms(c: DerivedCouplings) -> tuple[float, float]:
@@ -38,8 +38,8 @@ def _coupling_terms(c: DerivedCouplings) -> tuple[float, float]:
 def stability_factors(c: DerivedCouplings) -> tuple[float, float]:
     """The two factors of Omega+^2 Omega-^2 = (ww - 4Ng^2)(ww - 4Ng^2 xi^2).
 
-    Both positive means the quadratic Hamiltonian is positive definite;
-    exactly one negative is the Omega-^2 < 0 instability.
+    Both positive means the quadratic Hamiltonian is positive definite; with
+    a negative one (even both, where the frequencies stay real) it is not.
     """
     y, p = _coupling_terms(c)
     ww = c.omega_k_bar * c.omega_m_tilde
@@ -67,18 +67,16 @@ def polariton_frequencies(c: DerivedCouplings) -> tuple[float, float]:
                 "polariton frequencies form a complex pair", discriminant
             )
         discriminant = 0.0
+    f1, f2 = stability_factors(c)
+    if min(f1, f2) < 0.0:
+        raise PolaritonInstabilityError("a stability factor is negative", min(f1, f2))
     root = np.sqrt(discriminant)
     if trace + root <= 0.0:
         raise PolaritonInstabilityError(
             "both polariton branches squared are nonpositive", trace + root
         )
     upper_sq = 0.5 * (trace + root)
-    f1, f2 = stability_factors(c)
     lower_sq = 2.0 * f1 * f2 / (trace + root)
-    if lower_sq < 0.0:
-        raise PolaritonInstabilityError(
-            "lower polariton branch squared is negative", lower_sq
-        )
     # the product form can overshoot the direct form by an ulp at degeneracy
     lower_sq = min(lower_sq, upper_sq)
     return float(np.sqrt(upper_sq)), float(np.sqrt(lower_sq))
@@ -114,27 +112,59 @@ def _fix_phase(vec: np.ndarray) -> np.ndarray:
     return vec
 
 
-def _symplectic_norm(vec: np.ndarray) -> float:
-    return float(np.real(vec.conj() @ (SYMPLECTIC_METRIC @ vec)))
-
-
 class BranchCoefficients(NamedTuple):
-    """Null-space coefficient vectors (x, y, z, u) for one frequency.
+    """Coefficient vectors (x, y, z, u) for one frequency.
 
     `vectors` holds one row normally; at a degenerate frequency it holds the
-    symplectically orthogonalized pair and `degenerate` is set.
+    symplectically orthonormal pair and `degenerate` is set.
     """
 
     vectors: np.ndarray
     degenerate: bool
 
 
+def _colpa_coefficients(
+    c: DerivedCouplings, upper: float, lower: float
+) -> BranchCoefficients:
+    """Rows (plus, minus) of both branches from one Colpa diagonalization
+    (J. H. P. Colpa, Physica A 93, 327 (1978)).
+
+    M = -eta K(0) (eta = SYMPLECTIC_METRIC) is the Hermitian form of H; its
+    Cholesky factor M = L L^+ exists exactly when H is positive definite.
+    L^+ eta L has eigenvalues +-Omega; for the positive pair, v = eta L w
+    solves K(Omega) v = 0 with v^+ eta v = Omega |w|^2 > 0, and a degenerate
+    pair is symplectically orthonormal. Each v is normalized by its measured
+    symplectic norm and checked against K at the closed-form (upper, lower).
+    """
+    k_zero = dynamical_matrix(c, 0.0)
+    try:
+        factor = np.linalg.cholesky(-SYMPLECTIC_METRIC @ k_zero)
+    except np.linalg.LinAlgError as err:
+        value = min(stability_factors(c))
+        raise PolaritonInstabilityError("Cholesky factorization of H failed", value) from err
+    _, eigvecs = np.linalg.eigh(factor.conj().T @ SYMPLECTIC_METRIC @ factor)
+    columns = SYMPLECTIC_METRIC @ factor @ eigvecs[:, [3, 2]]
+    norms = np.real(np.sum(columns.conj() * (SYMPLECTIC_METRIC @ columns), axis=0))
+    if not np.all((norms > 0.0) & (norms < np.inf)):
+        value = float(np.min(norms))
+        raise PolaritonInstabilityError("symplectic norm not positive and finite", value)
+    columns = columns / np.sqrt(norms)
+    omegas = np.array([upper, lower])
+    # Omega + max(w) is the largest entry of K(Omega), so at most sigma_max
+    scale = (omegas + max(c.omega_k_bar, c.omega_m_tilde)) * np.linalg.norm(columns, axis=0)
+    residual = np.max(np.linalg.norm(k_zero @ columns + columns * omegas, axis=0) / scale)
+    if not residual <= _RESIDUAL_TOL:
+        raise RuntimeError(f"coefficient residual {residual:.3e} exceeds tolerance")
+    degenerate = (upper - lower) <= _DEGENERACY_RTOL * upper
+    return BranchCoefficients(np.array([_fix_phase(v) for v in columns.T]), degenerate)
+
+
 def hopfield_coefficients(c: DerivedCouplings, omega: float) -> BranchCoefficients:
     """Coefficients (x, y, z, u) of the polariton operator at frequency omega.
 
-    Extracted as the smallest-singular-value direction of the 4x4 system
-    (robust near degeneracy, identical to cofactors elsewhere), normalized
-    to |x|^2 - |y|^2 + |z|^2 - |u|^2 = 1, phase fixed so the first
+    Omega's row of the Colpa diagonalization that `solve_polaritons` uses
+    (both rows at a degenerate frequency), normalized to
+    |x|^2 - |y|^2 + |z|^2 - |u|^2 = 1, phase fixed so the first
     non-negligible component of (x, y, z, u) is real and nonnegative.
     """
     upper, lower = polariton_frequencies(c)
@@ -144,41 +174,10 @@ def hopfield_coefficients(c: DerivedCouplings, omega: float) -> BranchCoefficien
             f"omega={omega!r} is not a polariton frequency "
             f"(branches {upper!r}, {lower!r})"
         )
-    degenerate = (upper - lower) <= _DEGENERACY_RTOL * upper
-
-    matrix = dynamical_matrix(c, omega)
-    _, singular, vh = np.linalg.svd(matrix)
-    matrix_scale = max(float(singular[0]), 1e-300)
-
+    vectors, degenerate = _colpa_coefficients(c, upper, lower)
     if not degenerate:
-        raw = vh[-1].conj()
-        norm = _symplectic_norm(raw)
-        if norm <= 0.0:
-            raise RuntimeError(
-                "coefficient extraction failed: nonpositive symplectic norm "
-                f"{norm:.3e} on the positive branch"
-            )
-        vectors = [raw / np.sqrt(norm)]
-    else:
-        basis = np.column_stack([vh[-1].conj(), vh[-2].conj()])
-        gram = basis.conj().T @ SYMPLECTIC_METRIC @ basis
-        norms, combos = np.linalg.eigh(gram)
-        if np.any(norms <= 0.0):
-            raise RuntimeError(
-                "degenerate coefficient extraction failed: symplectic Gram "
-                f"eigenvalues {norms}"
-            )
-        vectors = [basis @ combos[:, k] / np.sqrt(norms[k]) for k in (1, 0)]
-
-    out = []
-    for vec in vectors:
-        residual = float(np.linalg.norm(matrix @ vec))
-        if residual > _RESIDUAL_TOL * matrix_scale * float(np.linalg.norm(vec)):
-            raise RuntimeError(
-                f"coefficient residual {residual:.3e} exceeds tolerance"
-            )
-        out.append(_fix_phase(vec))
-    return BranchCoefficients(np.array(out), degenerate)
+        vectors = vectors[[0 if abs(omega - upper) <= abs(omega - lower) else 1]]
+    return BranchCoefficients(vectors, degenerate)
 
 
 @dataclass(frozen=True)
@@ -187,8 +186,8 @@ class PolaritonSolution:
 
     Fractions are photon = |x|^2 - |y|^2 and matter = |z|^2 - |u|^2; their
     sum is 1 by the symplectic normalization. At an exactly degenerate
-    crossing the plus/minus assignment of the orthogonalized pair is an
-    arbitrary tie-break, flagged by `degenerate`.
+    crossing the plus/minus assignment of the symplectically orthonormal
+    pair is an arbitrary tie-break, flagged by `degenerate`.
     """
 
     omega_plus: float
@@ -211,14 +210,7 @@ def _fractions(vec: np.ndarray) -> tuple[float, float]:
 def solve_polaritons(c: DerivedCouplings) -> PolaritonSolution:
     """Frequencies, coefficients, fractions and vacuum energy in one call."""
     upper, lower = polariton_frequencies(c)
-    branch_upper = hopfield_coefficients(c, upper)
-    if branch_upper.degenerate:
-        coeffs_plus, coeffs_minus = branch_upper.vectors
-        degenerate = True
-    else:
-        coeffs_plus = branch_upper.vectors[0]
-        coeffs_minus = hopfield_coefficients(c, lower).vectors[0]
-        degenerate = False
+    (coeffs_plus, coeffs_minus), degenerate = _colpa_coefficients(c, upper, lower)
     photon_plus, matter_plus = _fractions(coeffs_plus)
     photon_minus, matter_minus = _fractions(coeffs_minus)
     return PolaritonSolution(

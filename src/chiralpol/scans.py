@@ -234,12 +234,13 @@ def scan_cavity(table: dict) -> ScanTable:
         "xi_points",
     )
 
+    emitters = [system.emitter(float(xi)) for xi in xis]
     rows = []
     for omega_k in omegas:
         mode = system.mode(float(omega_k))
-        for xi in xis:
+        for xi, emitter in zip(xis, emitters):
             try:
-                c = derive_couplings(system.emitter(float(xi)), mode, n_emitters)
+                c = derive_couplings(emitter, mode, n_emitters)
                 sol = solve_polaritons(c)
                 rows.append(
                     (

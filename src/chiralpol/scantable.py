@@ -3,10 +3,12 @@
 CSV layout: `#`-prefixed metadata lines (one `key = value` per line, echoing
 the full effective configuration), a header row, then comma-separated rows
 with every number rendered at 17 significant digits so reruns diff
-byte-identically and values round-trip exactly.
+byte-identically and values round-trip exactly. An infinite cell raises
+OverflowError; NaN is allowed (it marks a check that did not run).
 """
 
 import io
+import math
 from dataclasses import dataclass
 
 
@@ -35,6 +37,9 @@ class ScanTable:
                 raise ValueError(
                     f"ragged row: expected {width} columns, got {len(row)}"
                 )
+            if math.inf in row or -math.inf in row:
+                column = self.column_names[[abs(v) for v in row].index(math.inf)]
+                raise OverflowError(f"column '{column}' is infinite")
 
     def column(self, name: str) -> list:
         idx = self.column_names.index(name)

@@ -7,6 +7,7 @@ zero-point omega_k_bar/2 is dropped), so the N-1 dark states sit exactly at
 the bare matter frequency.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,12 +87,9 @@ def dispersion_scan(
     for k_par in k_par_list:
         row_mode = oblique_mode(mode, float(k_par))
         eps = standing_wave_polarization_oblique(row_mode, x=0.0)
-        coupling = (
-            np.sqrt(n_emitters)
-            * mode.eta
-            * np.sqrt(row_mode.omega_k / 2.0)
-            * abs(np.sum(eps * combined))
-        )
+        # Python floats: an overflow gives inf, which ScanTable rejects, not a warning
+        coupling = math.sqrt(n_emitters) * mode.eta * math.sqrt(row_mode.omega_k / 2.0)
+        coupling *= float(abs(np.sum(eps * combined)))
         upper, lower = _bright_doublet(emitter.omega_m, row_mode.omega_k, coupling)
         rows.append((float(k_par), row_mode.omega_k, coupling, upper, lower))
     return ScanTable(

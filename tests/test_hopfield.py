@@ -12,6 +12,7 @@ from chiralpol.fields import CavityMode
 from chiralpol.hopfield import (
     SYMPLECTIC_METRIC,
     PolaritonInstabilityError,
+    _colpa_coefficients,
     discrimination,
     dynamical_matrix,
     find_critical_n,
@@ -87,6 +88,20 @@ class TestPolaritonFrequencies:
         with pytest.raises(PolaritonInstabilityError) as err:
             polariton_frequencies(couplings(g=0.6, xi=0.0))
         assert err.value.value < 0
+
+    def test_both_factors_negative_is_unstable(self):
+        # both stability factors negative: the frequencies stay real (2.48,
+        # 0.40) but H is not bounded below, so there is no polariton basis
+        c = couplings(g=0.6, xi=1.5)
+        assert max(stability_factors(c)) < 0
+        with pytest.raises(PolaritonInstabilityError) as err:
+            polariton_frequencies(c)
+        assert err.value.value == min(stability_factors(c))
+        with pytest.raises(PolaritonInstabilityError):
+            solve_polaritons(c)
+        # the coefficient kernel applies the same rule: no Cholesky factor
+        with pytest.raises(PolaritonInstabilityError, match="Cholesky"):
+            _colpa_coefficients(c, 2.48, 0.40)
 
     def test_complex_pair_instability(self):
         # inner radicand negative: strong detuned coupling with xi*lam < -1
@@ -223,6 +238,26 @@ class TestHopfieldCoefficients:
             assert norm == pytest.approx(1.0, abs=1e-10)
         sol = solve_polaritons(c)
         assert sol.degenerate
+        pair = np.array([sol.coeffs_plus, sol.coeffs_minus])
+        gram = pair.conj() @ SYMPLECTIC_METRIC @ pair.T
+        assert_allclose(gram, np.eye(2), atol=1e-10)
+
+    @pytest.mark.parametrize("softness", [10.0**-k for k in range(1, 7)])
+    def test_soft_mode_normalization(self, softness):
+        # f1 = omega_k_bar*omega_m_tilde*softness: the lower branch softens
+        # as sqrt(softness) while the measured norm stays exact
+        rng = np.random.default_rng(2209)
+        for _ in range(300):
+            w_photon, w_matter = rng.uniform(0.5, 2.0, 2)
+            g = np.sqrt(w_photon * w_matter * (1.0 - softness) / 4.0)
+            c = couplings(w_photon, w_matter, g, rng.uniform(-1.0, 1.0))
+            assert stability_factors(c)[0] == pytest.approx(
+                softness * w_photon * w_matter, rel=1e-6
+            )
+            sol = solve_polaritons(c)
+            for vec in (sol.coeffs_plus, sol.coeffs_minus):
+                norm = float(np.real(vec.conj() @ SYMPLECTIC_METRIC @ vec))
+                assert abs(norm - 1.0) <= 5e-13
 
     def test_phase_convention(self):
         sol = solve_polaritons(couplings(g=0.08, xi=0.3))

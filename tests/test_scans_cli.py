@@ -72,6 +72,37 @@ class TestExitCodes:
         assert "unstable" in err
         assert out  # table still written before the strict exit
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # both stability factors are negative at xi = +-40: real frequencies,
+            # but H is not bounded below
+            [
+                "--set",
+                "quadrupole=0,0,0,0,0,-30000,0,-30000,0",
+                "--set",
+                "xi_min=-40",
+                "--set",
+                "xi_max=40",
+                "--set",
+                "xi_points=9",
+                "--set",
+                "omega_k_points=3",
+            ],
+            ["--set", "eta=1e10", *SMALL_CAVITY],
+        ],
+        ids=["quadrupole", "eta=1e10"],
+    )
+    def test_unbounded_hamiltonian_rows_are_flagged(self, argv):
+        code, out, err = run_cli(["scan-cavity", *argv])
+        assert code == 0
+        assert "Traceback" not in err
+        rows = [line for line in out.splitlines() if not line.startswith("#")][1:]
+        assert "1" in [line.rsplit(",", 1)[1] for line in rows]
+        code, _, err = run_cli(["scan-cavity", "--strict", *argv])
+        assert code == 3
+        assert "Traceback" not in err
+
     def test_help_does_not_leak_exit_codes(self):
         code, _, _ = run_cli(["--help"])
         assert code == 0
@@ -95,6 +126,10 @@ class TestExitCodes:
             ["oracle", "--set", "oracle_sets=0"],
             ["oracle", "--set", "oracle_sets=-3"],
             ["scan-cavity", "--seed", "3"],
+            ["scan-cavity", "--set", "eta=1e200"],
+            ["scan-cavity", "--set", "mu=1e200,0,0"],
+            ["scan-n", "--set", "eta=1e100"],
+            ["scan-dispersion", "--set", "eta=1e200"],
         ],
         ids=lambda argv: "_".join(a for a in argv if a != "--set"),
     )
