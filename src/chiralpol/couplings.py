@@ -53,6 +53,9 @@ class DerivedCouplings:
     handedness    : cavity helicity, +1 or -1
     decoupled     : True when the electric contraction (mu + Q).eps vanishes,
                     in which case g and xi are defined as 0
+    f1, f2        : stability factors ww - 4Ng^2, ww - 4Ng^2 xi^2 (ww = wk*wm):
+                    cancellation-free from derive_couplings, else (None) the
+                    dressed differences, which a given value must match
     """
 
     omega_k_bar: float
@@ -64,6 +67,8 @@ class DerivedCouplings:
     n_emitters: int
     handedness: int
     decoupled: bool = False
+    f1: float | None = None
+    f2: float | None = None
 
     def __post_init__(self):
         if not self.omega_k_bar > 0:
@@ -76,6 +81,15 @@ class DerivedCouplings:
             raise ValueError(f"handedness must be +1 or -1, got {self.handedness}")
         if self.n_emitters < 1:
             raise ValueError(f"n_emitters must be at least 1, got {self.n_emitters}")
+        coupling = 4.0 * self.n_emitters * self.g_tilde**2
+        product = self.omega_k_bar * self.omega_m_tilde
+        tol = 1e-12 * (product + coupling * max(1.0, self.xi_tilde**2))
+        for name, xi_sq in (("f1", 1.0), ("f2", self.xi_tilde**2)):
+            dressed, given = product - coupling * xi_sq, getattr(self, name)
+            if given is None:
+                object.__setattr__(self, name, dressed)
+            elif np.isfinite(dressed) and not abs(given - dressed) <= tol:
+                raise ValueError(f"{name}={given!r} is not the dressed value {dressed!r}")
 
 
 def dressed_photon_frequency(chi_m, mode: CavityMode, n_emitters: int) -> float:
@@ -171,6 +185,17 @@ def derive_couplings(
     g_bar = mode.eta * np.sqrt(omega_k_bar / 2.0) * electric
     xi_bar = (omega_k / omega_k_bar) * magnetic / electric
 
+    # omega_m_tilde^2 cancels the dipole part of 4Ng^2 = 2N eta^2 omega_m e^2
+    # omega_k_bar/omega_m_tilde exactly (factor is the N of that dressing);
+    # no frequency is squared, so tiny frequencies do not go subnormal
+    factor = n_emitters if selfpol == "collective" else 1
+    scale = 2.0 * mode.eta**2
+    excess = factor * quad_proj * (2.0 * mu_proj + quad_proj)
+    excess += (n_emitters - factor) * electric**2
+    magnetic_sq = n_emitters * scale * omega_m * (omega_k * magnetic / omega_m) ** 2
+    f1 = omega_k_bar * (omega_m / omega_m_tilde) * (omega_m - scale * excess)
+    f2 = omega_m_tilde * (omega_k_bar - magnetic_sq / omega_k_bar)
+
     return DerivedCouplings(
         omega_k_bar=float(omega_k_bar),
         omega_m_tilde=float(omega_m_tilde),
@@ -180,6 +205,8 @@ def derive_couplings(
         xi_bar=float(xi_bar),
         n_emitters=n_emitters,
         handedness=mode.handedness,
+        f1=float(f1),
+        f2=float(f2),
     )
 
 

@@ -9,9 +9,16 @@ polariton of energy Omega, i.e. [P, H] = Omega P, normalized to
 photon fraction is |x|^2 - |y|^2 and the matter fraction |z|^2 - |u|^2 (the
 coefficients multiplying the photon and matter operators in P); they sum to
 one but are not individually bounded by [0, 1] in the ultrastrong regime.
+
+The coefficients come from two real 2x2 blocks (J. J. Hopfield, Phys. Rev.
+112, 1555 (1958)): with z = i z', u = i u', a = (x + y, z' - u') and
+b = (x - y, z' + u'), K(Omega) v = 0 reads Omega a = P b, Omega b = Q a with
+P = [[wk, p r], [p r, wm]], Q = [[wk, r], [r, wm]], r = 2 sqrt(N) g and
+p = xi lambda, so det P = f2 and det Q = f1.
 """
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -24,26 +31,20 @@ from .fields import CavityMode
 SYMPLECTIC_METRIC = np.diag([1.0, -1.0, 1.0, -1.0])
 
 _DEGENERACY_RTOL = 1e-10
-_RESIDUAL_TOL = 1e-8
 
 
 class PolaritonInstabilityError(InstabilityError):
     """The quadratic Hamiltonian is not positive definite: no polariton basis."""
 
 
-def _coupling_terms(c: DerivedCouplings) -> tuple[float, float]:
-    return c.n_emitters * c.g_tilde**2, c.xi_tilde * c.handedness
-
-
 def stability_factors(c: DerivedCouplings) -> tuple[float, float]:
     """The two factors of Omega+^2 Omega-^2 = (ww - 4Ng^2)(ww - 4Ng^2 xi^2).
 
     Both positive means the quadratic Hamiltonian is positive definite; with
-    a negative one (even both, where the frequencies stay real) it is not.
+    one nonpositive (even both negative, where the frequencies stay real) it
+    is not. Carried by the couplings, see `DerivedCouplings`.
     """
-    y, p = _coupling_terms(c)
-    ww = c.omega_k_bar * c.omega_m_tilde
-    return ww - 4.0 * y, ww - 4.0 * y * p * p
+    return c.f1, c.f2
 
 
 def polariton_frequencies(c: DerivedCouplings) -> tuple[float, float]:
@@ -56,8 +57,7 @@ def polariton_frequencies(c: DerivedCouplings) -> tuple[float, float]:
     is exact and avoids the S - sqrt(D) cancellation for soft modes.
     """
     w1, w2 = c.omega_k_bar, c.omega_m_tilde
-    y, p = _coupling_terms(c)
-
+    y, p = c.n_emitters * c.g_tilde**2, c.xi_tilde * c.handedness
     trace = w1 * w1 + w2 * w2 + 8.0 * p * y
     discriminant = (w1 * w1 - w2 * w2) ** 2 + 16.0 * y * (w1 + w2 * p) * (w1 * p + w2)
     if discriminant < 0.0:
@@ -68,15 +68,14 @@ def polariton_frequencies(c: DerivedCouplings) -> tuple[float, float]:
             )
         discriminant = 0.0
     f1, f2 = stability_factors(c)
-    if min(f1, f2) < 0.0:
-        raise PolaritonInstabilityError("a stability factor is negative", min(f1, f2))
+    if min(f1, f2) <= 0.0:
+        raise PolaritonInstabilityError("a stability factor is not positive", min(f1, f2))
     root = np.sqrt(discriminant)
-    if trace + root <= 0.0:
-        raise PolaritonInstabilityError(
-            "both polariton branches squared are nonpositive", trace + root
-        )
+    # roundoff or an underflow of f1*f2 can still leave no positive lower branch
+    lower_sq = 2.0 * f1 * f2 / (trace + root) if trace + root > 0.0 else 0.0
+    if not lower_sq > 0.0:
+        raise PolaritonInstabilityError("lower branch squared is not positive", lower_sq)
     upper_sq = 0.5 * (trace + root)
-    lower_sq = 2.0 * f1 * f2 / (trace + root)
     # the product form can overshoot the direct form by an ulp at degeneracy
     lower_sq = min(lower_sq, upper_sq)
     return float(np.sqrt(upper_sq)), float(np.sqrt(lower_sq))
@@ -123,46 +122,38 @@ class BranchCoefficients(NamedTuple):
     degenerate: bool
 
 
-def _colpa_coefficients(
-    c: DerivedCouplings, upper: float, lower: float
-) -> BranchCoefficients:
-    """Rows (plus, minus) of both branches from one Colpa diagonalization
-    (J. H. P. Colpa, Physica A 93, 327 (1978)).
+def _two_block(c: DerivedCouplings, upper: float, lower: float):
+    """Rows (plus, minus), their (photon, matter) fractions and the
+    degenerate flag, from the two real blocks of the module docstring.
 
-    M = -eta K(0) (eta = SYMPLECTIC_METRIC) is the Hermitian form of H; its
-    Cholesky factor M = L L^+ exists exactly when H is positive definite.
-    L^+ eta L has eigenvalues +-Omega; for the positive pair, v = eta L w
-    solves K(Omega) v = 0 with v^+ eta v = Omega |w|^2 > 0, and a degenerate
-    pair is symplectically orthonormal. Each v is normalized by its measured
-    symplectic norm and checked against K at the closed-form (upper, lower).
+    P = L L^T in closed form (l22 = sqrt(f2/wk), so f2 > 0 is required); the
+    orthonormal eigenvectors w of C = L^T Q L (eigenvalues Omega^2) follow
+    from one Jacobi angle. a = L w / sqrt(Omega) and b = sqrt(Omega) L^-T w
+    solve both blocks, and the fractions a1 b1, a2 b2 sum to |w|^2 = 1.
+    Orthonormal w make a degenerate pair symplectically orthonormal.
     """
-    k_zero = dynamical_matrix(c, 0.0)
-    try:
-        factor = np.linalg.cholesky(-SYMPLECTIC_METRIC @ k_zero)
-    except np.linalg.LinAlgError as err:
-        value = min(stability_factors(c))
-        raise PolaritonInstabilityError("Cholesky factorization of H failed", value) from err
-    _, eigvecs = np.linalg.eigh(factor.conj().T @ SYMPLECTIC_METRIC @ factor)
-    columns = SYMPLECTIC_METRIC @ factor @ eigvecs[:, [3, 2]]
-    norms = np.real(np.sum(columns.conj() * (SYMPLECTIC_METRIC @ columns), axis=0))
-    if not np.all((norms > 0.0) & (norms < np.inf)):
-        value = float(np.min(norms))
-        raise PolaritonInstabilityError("symplectic norm not positive and finite", value)
-    columns = columns / np.sqrt(norms)
-    omegas = np.array([upper, lower])
-    # Omega + max(w) is the largest entry of K(Omega), so at most sigma_max
-    scale = (omegas + max(c.omega_k_bar, c.omega_m_tilde)) * np.linalg.norm(columns, axis=0)
-    residual = np.max(np.linalg.norm(k_zero @ columns + columns * omegas, axis=0) / scale)
-    if not residual <= _RESIDUAL_TOL:
-        raise RuntimeError(f"coefficient residual {residual:.3e} exceeds tolerance")
-    degenerate = (upper - lower) <= _DEGENERACY_RTOL * upper
-    return BranchCoefficients(np.array([_fix_phase(v) for v in columns.T]), degenerate)
+    w1, w2 = c.omega_k_bar, c.omega_m_tilde
+    r = 2.0 * math.sqrt(c.n_emitters) * c.g_tilde
+    l11, l22 = math.sqrt(w1), math.sqrt(c.f2 / w1)
+    l21 = c.xi_tilde * c.handedness * r / l11
+    q1, q2 = w1 * l11 + r * l21, r * l11 + w2 * l21  # first column of Q L
+    theta = 0.5 * math.atan2(2.0 * l22 * q2, l11 * q1 + l21 * q2 - w2 * l22 * l22)
+    cos, sin = math.cos(theta), math.sin(theta)
+    rows, fractions = [], []
+    for omega, (w_1, w_2) in ((upper, (cos, sin)), (lower, (-sin, cos))):
+        root = math.sqrt(omega)
+        a1, a2 = l11 * w_1 / root, (l21 * w_1 + l22 * w_2) / root
+        b1, b2 = root * (w_1 - l21 * w_2 / l22) / l11, root * w_2 / l22
+        vec = 0.5 * np.array([a1 + b1, a1 - b1, 1j * (a2 + b2), 1j * (b2 - a2)])
+        rows.append(_fix_phase(vec))
+        fractions.append((a1 * b1, a2 * b2))
+    return np.array(rows), fractions, (upper - lower) <= _DEGENERACY_RTOL * upper
 
 
 def hopfield_coefficients(c: DerivedCouplings, omega: float) -> BranchCoefficients:
     """Coefficients (x, y, z, u) of the polariton operator at frequency omega.
 
-    Omega's row of the Colpa diagonalization that `solve_polaritons` uses
+    Omega's row of the two-block solution that `solve_polaritons` uses
     (both rows at a degenerate frequency), normalized to
     |x|^2 - |y|^2 + |z|^2 - |u|^2 = 1, phase fixed so the first
     non-negligible component of (x, y, z, u) is real and nonnegative.
@@ -174,7 +165,7 @@ def hopfield_coefficients(c: DerivedCouplings, omega: float) -> BranchCoefficien
             f"omega={omega!r} is not a polariton frequency "
             f"(branches {upper!r}, {lower!r})"
         )
-    vectors, degenerate = _colpa_coefficients(c, upper, lower)
+    vectors, _, degenerate = _two_block(c, upper, lower)
     if not degenerate:
         vectors = vectors[[0 if abs(omega - upper) <= abs(omega - lower) else 1]]
     return BranchCoefficients(vectors, degenerate)
@@ -202,17 +193,11 @@ class PolaritonSolution:
     degenerate: bool
 
 
-def _fractions(vec: np.ndarray) -> tuple[float, float]:
-    weights = np.abs(vec) ** 2
-    return float(weights[0] - weights[1]), float(weights[2] - weights[3])
-
-
 def solve_polaritons(c: DerivedCouplings) -> PolaritonSolution:
     """Frequencies, coefficients, fractions and vacuum energy in one call."""
     upper, lower = polariton_frequencies(c)
-    (coeffs_plus, coeffs_minus), degenerate = _colpa_coefficients(c, upper, lower)
-    photon_plus, matter_plus = _fractions(coeffs_plus)
-    photon_minus, matter_minus = _fractions(coeffs_minus)
+    (coeffs_plus, coeffs_minus), fractions, degenerate = _two_block(c, upper, lower)
+    (photon_plus, matter_plus), (photon_minus, matter_minus) = fractions
     return PolaritonSolution(
         omega_plus=upper,
         omega_minus=lower,

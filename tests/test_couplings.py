@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 
 import numpy as np
@@ -42,6 +43,13 @@ def test_frozen_reference_point():
     assert c.xi_tilde == pytest.approx(0.3 * 1.00099950049937587, rel=1e-14)
     assert c.xi_bar == pytest.approx(0.3, rel=1e-14)
     assert c.g_bar == pytest.approx(1e-3 * np.sqrt(0.1 / 2.0), rel=1e-14)
+
+
+def test_replace_cannot_carry_a_stale_stability_factor():
+    e = Emitter.collinear(omega_m=0.1, mu=[1.0, 0, 0], xi=0.3)
+    c = derive_couplings(e, make_mode(), 100)
+    with pytest.raises(ValueError, match="f1"):
+        dataclasses.replace(c, g_tilde=2 * c.g_tilde)
 
 
 def test_coupling_formulas_reassembled_from_parts():

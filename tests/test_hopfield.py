@@ -1,5 +1,6 @@
 import dataclasses
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,6 @@ from chiralpol.fields import CavityMode
 from chiralpol.hopfield import (
     SYMPLECTIC_METRIC,
     PolaritonInstabilityError,
-    _colpa_coefficients,
     discrimination,
     dynamical_matrix,
     find_critical_n,
@@ -99,9 +99,15 @@ class TestPolaritonFrequencies:
         assert err.value.value == min(stability_factors(c))
         with pytest.raises(PolaritonInstabilityError):
             solve_polaritons(c)
-        # the coefficient kernel applies the same rule: no Cholesky factor
-        with pytest.raises(PolaritonInstabilityError, match="Cholesky"):
-            _colpa_coefficients(c, 2.48, 0.40)
+
+    def test_zero_factor_is_unstable(self):
+        # f1 == 0 exactly: a zero mode, not a polariton basis
+        c = DerivedCouplings(1, 1, 0.5, 0, 0.5, 0, 1, 1)
+        assert stability_factors(c) == (0.0, 1.0)
+        for solver in (polariton_frequencies, solve_polaritons):
+            with pytest.raises(PolaritonInstabilityError) as err:
+                solver(c)
+            assert err.value.value == 0.0
 
     def test_complex_pair_instability(self):
         # inner radicand negative: strong detuned coupling with xi*lam < -1
@@ -255,9 +261,48 @@ class TestHopfieldCoefficients:
                 softness * w_photon * w_matter, rel=1e-6
             )
             sol = solve_polaritons(c)
-            for vec in (sol.coeffs_plus, sol.coeffs_minus):
+            for vec, omega in (
+                (sol.coeffs_plus, sol.omega_plus),
+                (sol.coeffs_minus, sol.omega_minus),
+            ):
                 norm = float(np.real(vec.conj() @ SYMPLECTIC_METRIC @ vec))
                 assert abs(norm - 1.0) <= 5e-13
+                # Omega + max(w) is the largest entry of K(Omega)
+                residual = np.linalg.norm(dynamical_matrix(c, omega) @ vec)
+                scale = omega + max(c.omega_k_bar, c.omega_m_tilde)
+                assert residual <= 1e-8 * scale * np.linalg.norm(vec)
+
+    def test_soft_mode_fractions_match_40_digit_reference(self):
+        # fractions from an independent 40-digit eigensolution of -K(0),
+        # whose eigenvalues are +-Omega; f1/(wk wm) from 1e-1 down to 1e-6
+        rng = np.random.default_rng(2209)
+        j = mpmath.mpc(0, 1)
+        for softness in np.repeat(10.0 ** -np.arange(1, 7), 10):
+            w_photon, w_matter = rng.uniform(0.5, 2.0, 2)
+            g = np.sqrt(w_photon * w_matter * (1.0 - softness) / 4.0)
+            c = couplings(w_photon, w_matter, g, rng.uniform(-1.0, 1.0))
+            sol = solve_polaritons(c)
+            with mpmath.workdps(40):
+                w1, w2, p = map(mpmath.mpf, (w_photon, w_matter, c.xi_tilde))
+                gp, gm = (1 + p) * mpmath.mpf(g), (1 - p) * mpmath.mpf(g)
+                values, vectors = mpmath.eig(
+                    mpmath.matrix(
+                        [
+                            [w1, 0, -j * gp, j * gm],
+                            [0, -w1, j * gm, -j * gp],
+                            [j * gp, j * gm, w2, 0],
+                            [j * gm, j * gp, 0, -w2],
+                        ]
+                    )
+                )
+                order = sorted(range(4), key=lambda i: -mpmath.re(values[i]))
+                for branch, index in zip(("plus", "minus"), order[:2]):
+                    weights = [abs(vectors[k, index]) ** 2 for k in range(4)]
+                    norm = weights[0] - weights[1] + weights[2] - weights[3]
+                    photon = getattr(sol, f"photon_fraction_{branch}")
+                    matter = getattr(sol, f"matter_fraction_{branch}")
+                    assert abs(photon - (weights[0] - weights[1]) / norm) <= 2e-14
+                    assert abs(matter - (weights[2] - weights[3]) / norm) <= 2e-14
 
     def test_phase_convention(self):
         sol = solve_polaritons(couplings(g=0.08, xi=0.3))

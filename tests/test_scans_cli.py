@@ -223,6 +223,22 @@ class TestScanCavity:
             assert record["omega_plus"] == pytest.approx(upper, rel=1e-14)
             assert record["omega_minus"] == pytest.approx(lower, rel=1e-14)
 
+    def test_ultrastrong_achiral_column_is_exact(self):
+        # eta=1e10: omega_k_bar*omega_m_tilde ~ 1e10 while f1 ~ 1e-14, so a
+        # stability factor formed as a difference is pure roundoff here
+        table = scan_cavity({**CAVITY_DEFAULTS, "eta": "1e10"})
+        column = [row for row in table.rows if row[1] == 0.0]
+        assert len(column) == 41
+        for row in column:
+            record = dict(zip(table.column_names, row))
+            assert record["unstable"] == 0.0
+            for branch in ("plus", "minus"):
+                total = record[f"photon_frac_{branch}"] + record[f"matter_frac_{branch}"]
+                assert abs(total - 1.0) <= 1e-12
+            # a dipole-only emitter at xi = 0: Omega+ Omega- = omega_k_bar*omega_m
+            product = record["omega_plus"] * record["omega_minus"]
+            assert product == pytest.approx(record["omega_k_bar"] * 0.1, rel=1e-13)
+
     def test_handedness_symmetry_across_the_grid(self):
         # 5 points is a count at which plain linspace(-1, 1) happens to be
         # symmetric; 6, 11 and 21 are counts at which it is not
