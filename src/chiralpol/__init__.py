@@ -31,7 +31,6 @@ from .fock_oracle import (
     fit_ladder,
     low_levels,
     oracle_check,
-    oracle_spectrum,
 )
 from .hopfield import (
     BranchCoefficients,

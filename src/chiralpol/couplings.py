@@ -180,8 +180,9 @@ def derive_couplings(
             decoupled=True,
         )
 
-    g_tilde = mode.eta * np.sqrt(omega_k_bar * omega_m / (2.0 * omega_m_tilde)) * electric
-    xi_tilde = (omega_m_tilde * omega_k) / (omega_m * omega_k_bar) * magnetic / electric
+    # ratios before products: omega_k_bar*omega_m goes subnormal at omega_m ~ 1e-158
+    g_tilde = mode.eta * np.sqrt(0.5 * omega_k_bar * (omega_m / omega_m_tilde)) * electric
+    xi_tilde = (omega_m_tilde / omega_m) * (omega_k / omega_k_bar) * magnetic / electric
     g_bar = mode.eta * np.sqrt(omega_k_bar / 2.0) * electric
     xi_bar = (omega_k / omega_k_bar) * magnetic / electric
 

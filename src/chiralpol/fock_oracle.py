@@ -96,14 +96,6 @@ def low_levels(c: DerivedCouplings, cutoff: int, count: int = 48) -> np.ndarray:
     return _parity_split_levels(h, dim, min(count, dim * dim))
 
 
-def oracle_spectrum(hamiltonian: np.ndarray) -> np.ndarray:
-    """Sorted real eigenvalues of a Hermitian matrix."""
-    deviation = np.linalg.norm(hamiltonian - hamiltonian.conj().T)
-    if deviation > 1e-12 * max(np.linalg.norm(hamiltonian), 1.0):
-        raise ValueError(f"matrix is not Hermitian (defect {deviation:.3e})")
-    return np.sort(np.linalg.eigvalsh(hamiltonian))
-
-
 def _lattice(om_minus: float, om_plus: float, limit: float, count: int) -> np.ndarray:
     values = []
     n = 0

@@ -38,47 +38,47 @@ class PolaritonInstabilityError(InstabilityError):
 
 
 def stability_factors(c: DerivedCouplings) -> tuple[float, float]:
-    """The two factors of Omega+^2 Omega-^2 = (ww - 4Ng^2)(ww - 4Ng^2 xi^2).
-
-    Both positive means the quadratic Hamiltonian is positive definite; with
-    one nonpositive (even both negative, where the frequencies stay real) it
-    is not. Carried by the couplings, see `DerivedCouplings`.
-    """
+    """(f1, f2), the factors of Omega+^2 Omega-^2 carried by the couplings (see
+    `DerivedCouplings`): the Hamiltonian is positive definite iff both are > 0."""
     return c.f1, c.f2
+
+
+def _trace_and_discriminant(c: DerivedCouplings) -> tuple[float, float, float]:
+    """T = wk^2 + wm^2 + 8 N g^2 p, D = (wk^2 - wm^2)^2 + 16 N g^2 (wk + wm p)
+    (wk p + wm) with p = xi lam, all frequencies dressed, and the scale of D."""
+    w1, w2 = c.omega_k_bar, c.omega_m_tilde
+    y, p = c.n_emitters * c.g_tilde**2, c.xi_tilde * c.handedness
+    coupling = 16.0 * y * (w1 + w2 * p) * (w1 * p + w2)
+    ww = w1 * w1 + w2 * w2
+    return ww + 8.0 * p * y, (w1 * w1 - w2 * w2) ** 2 + coupling, ww * ww + abs(coupling)
 
 
 def polariton_frequencies(c: DerivedCouplings) -> tuple[float, float]:
     """Polariton frequencies (Omega_plus, Omega_minus), Omega_plus >= Omega_minus.
 
-    Omega_pm^2 = (wk^2 + wm^2 + 8 xi lam N g^2 +- sqrt(D))/2 with
-    D = (wk^2 - wm^2)^2 + 16 N g^2 (wk + wm xi lam)(wk xi lam + wm),
-    all frequencies dressed. The lower branch is evaluated through the
-    product form 2*(wk wm - 4Ng^2)(wk wm - 4Ng^2 xi^2)/(S + sqrt(D)), which
-    is exact and avoids the S - sqrt(D) cancellation for soft modes.
+    Omega_pm^2 = (T +- sqrt(D))/2 with T and D from `_trace_and_discriminant`.
+    The lower branch is taken root by root from the exact product
+    Omega_plus Omega_minus = sqrt(f1) sqrt(f2): no T - sqrt(D) cancellation
+    for soft modes and no underflow where f1*f2 would.
     """
-    w1, w2 = c.omega_k_bar, c.omega_m_tilde
-    y, p = c.n_emitters * c.g_tilde**2, c.xi_tilde * c.handedness
-    trace = w1 * w1 + w2 * w2 + 8.0 * p * y
-    discriminant = (w1 * w1 - w2 * w2) ** 2 + 16.0 * y * (w1 + w2 * p) * (w1 * p + w2)
-    if discriminant < 0.0:
-        scale = (w1 * w1 + w2 * w2) ** 2 + abs(16.0 * y * (w1 + w2 * p) * (w1 * p + w2))
-        if -discriminant > 1e-14 * scale:
-            raise PolaritonInstabilityError(
-                "polariton frequencies form a complex pair", discriminant
-            )
-        discriminant = 0.0
+    trace, discriminant, scale = _trace_and_discriminant(c)
+    if discriminant < -1e-14 * scale:
+        raise PolaritonInstabilityError(
+            "polariton frequencies form a complex pair", discriminant
+        )
     f1, f2 = stability_factors(c)
     if min(f1, f2) <= 0.0:
         raise PolaritonInstabilityError("a stability factor is not positive", min(f1, f2))
-    root = np.sqrt(discriminant)
-    # roundoff or an underflow of f1*f2 can still leave no positive lower branch
-    lower_sq = 2.0 * f1 * f2 / (trace + root) if trace + root > 0.0 else 0.0
-    if not lower_sq > 0.0:
-        raise PolaritonInstabilityError("lower branch squared is not positive", lower_sq)
-    upper_sq = 0.5 * (trace + root)
+    upper_sq = 0.5 * (trace + math.sqrt(max(discriminant, 0.0)))
+    if not upper_sq > 0.0:
+        raise PolaritonInstabilityError("upper branch squared is not positive", upper_sq)
+    upper = math.sqrt(upper_sq)
+    # roundoff or an underflow can still leave no positive lower branch
+    lower = math.sqrt(f1) * math.sqrt(f2) / upper
+    if not lower > 0.0:
+        raise PolaritonInstabilityError("lower branch is not positive", lower)
     # the product form can overshoot the direct form by an ulp at degeneracy
-    lower_sq = min(lower_sq, upper_sq)
-    return float(np.sqrt(upper_sq)), float(np.sqrt(lower_sq))
+    return upper, min(lower, upper)
 
 
 def dynamical_matrix(c: DerivedCouplings, omega: float) -> np.ndarray:
@@ -90,8 +90,7 @@ def dynamical_matrix(c: DerivedCouplings, omega: float) -> np.ndarray:
     w1, w2 = c.omega_k_bar, c.omega_m_tilde
     g_root = np.sqrt(c.n_emitters) * c.g_tilde
     p = c.xi_tilde * c.handedness
-    gp = (1.0 + p) * g_root
-    gm = (1.0 - p) * g_root
+    gp, gm = (1.0 + p) * g_root, (1.0 - p) * g_root
     return np.array(
         [
             [omega - w1, 0.0, 1j * gp, -1j * gm],
@@ -218,37 +217,34 @@ class DiscriminationResult(NamedTuple):
     delta_e_vac: float
 
 
-def enantiomer_difference(
-    left: Emitter,
-    right: Emitter,
-    mode: CavityMode,
-    n_emitters: int,
-    selfpol: str = "collective",
-) -> DiscriminationResult:
-    """Spectra of the `left` enantiomer minus those of `right` in one mode.
-
-    Propagates instability of either solution.
-    """
-    up_l, low_l = polariton_frequencies(derive_couplings(left, mode, n_emitters, selfpol))
-    up_r, low_r = polariton_frequencies(derive_couplings(right, mode, n_emitters, selfpol))
-    # difference per branch first: the deltas are many orders below the
-    # absolute frequencies and must vanish exactly for achiral emitters
-    d_up, d_low = up_l - up_r, low_l - low_r
-    return DiscriminationResult(d_up, d_low, 0.5 * (d_up + d_low))
-
-
 def discrimination(
-    emitter: Emitter, mode: CavityMode, n_emitters: int
+    emitter: Emitter, mode: CavityMode, n_emitters: int, selfpol: str = "collective"
 ) -> DiscriminationResult:
     """Enantio-discrimination observables: spectra at xi = +|s| minus xi = -|s|.
 
-    All other parameters held fixed; propagates instability of either
-    enantiomer solution.
+    Closed form, no cancelling subtraction; propagates instability of either
+    enantiomer, achiral ones too. The couplings are even in s but xi_tilde,
+    xi_bar are odd, so the mirror is a sign flip and only T differs, by
+    dT = 16 N g^2 xi lam; Omega+ Omega- = sqrt(f1 f2) is shared, D = T^2 - 4 f1 f2
+    (each D from `_trace_and_discriminant`) and S = Omega+ + Omega-, so
+    dE_vac = dT/(2 (S_l + S_r)), dOmega- = -Omega-_l dOmega+/Omega+_r and
+    dOmega+ = dT (1 + 2 (wk^2 + wm^2)/(sqrt(D_l) + sqrt(D_r)))/(2 (Omega+_l + Omega+_r)).
     """
-    magnitude = abs(emitter.xi_scale)
-    left = dataclasses.replace(emitter, xi_scale=+magnitude)
-    right = dataclasses.replace(emitter, xi_scale=-magnitude)
-    return enantiomer_difference(left, right, mode, n_emitters)
+    c = derive_couplings(emitter, mode, n_emitters, selfpol)
+    mirror = dataclasses.replace(c, xi_tilde=-c.xi_tilde, xi_bar=-c.xi_bar)
+    if emitter.xi_scale < 0.0:
+        c, mirror = mirror, c
+    (up_l, low_l), (up_r, low_r) = polariton_frequencies(c), polariton_frequencies(mirror)
+    d_trace = 16.0 * (c.n_emitters * c.g_tilde**2) * (c.xi_tilde * c.handedness)
+    if d_trace == 0.0:
+        return DiscriminationResult(0.0, 0.0, 0.0)
+    ww = c.omega_k_bar**2 + c.omega_m_tilde**2
+    roots = sum(math.sqrt(max(_trace_and_discriminant(x)[1], 0.0)) for x in (c, mirror))
+    # (sqrt(D_l) + sqrt(D_r))^2 >= |D_l - D_r| = 2 |dT| ww: no zero division
+    roots = max(roots, math.sqrt(2.0 * abs(d_trace)) * math.sqrt(ww))
+    d_up = 0.5 * d_trace * (1.0 + 2.0 * ww / roots) / (up_l + up_r)
+    d_e_vac = 0.5 * d_trace / (up_l + low_l + (up_r + low_r))
+    return DiscriminationResult(d_up, -low_l * d_up / up_r, d_e_vac)
 
 
 def polariton_frequencies_local_selfpol(

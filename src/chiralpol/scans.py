@@ -32,7 +32,7 @@ from .emitters import Emitter, chiral_tdm_vector
 from .fields import SPEED_OF_LIGHT_AU, CavityMode
 from .fock_oracle import FockConfig, OracleReport, oracle_check
 from .hopfield import (
-    enantiomer_difference,
+    discrimination,
     polariton_frequencies,
     solve_polaritons,
     stability_factors,
@@ -329,14 +329,13 @@ def scan_n(table: dict) -> ScanTable:
     _require(0 <= n_max_exp <= 60, "n_max_exp", n_max_exp, "expected 0..60")
     selfpol = config_choice(table, "selfpol", ("collective", "local"))
     mode = system.mode(omega_k)
-    left = system.emitter(abs(xi))
-    right = system.emitter(-abs(xi))
+    emitter = system.emitter(xi)
 
     n_values = [2**k for k in range(n_max_exp + 1)]
     deltas = []
     for n in n_values:
         try:
-            deltas.append((*enantiomer_difference(left, right, mode, n, selfpol), False))
+            deltas.append((*discrimination(emitter, mode, n, selfpol), False))
         except InstabilityError:
             deltas.append((0.0, 0.0, 0.0, True))
 

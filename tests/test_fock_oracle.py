@@ -14,7 +14,6 @@ from chiralpol.fock_oracle import (
     fit_ladder,
     low_levels,
     oracle_check,
-    oracle_spectrum,
 )
 from chiralpol.hopfield import polariton_frequencies
 
@@ -115,11 +114,6 @@ class TestHamiltonianBuild:
 
 
 class TestSpectrum:
-    def test_requires_hermitian_input(self):
-        bad = np.array([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(ValueError, match="Hermitian"):
-            oracle_spectrum(bad)
-
     def test_free_gaps_and_ground_energy(self):
         c = couplings(w_photon=0.8, w_matter=1.9, g=0.0)
         levels = low_levels(c, cutoff=8, count=6)

@@ -341,6 +341,49 @@ class TestDiscrimination:
         large = discrimination(emitter, mode, 40)
         assert large.delta_e_vac / small.delta_e_vac == pytest.approx(4.0, rel=0.05)
 
+    @pytest.mark.parametrize("selfpol", ["collective", "local"])
+    def test_deltas_match_60_digit_reference(self, selfpol):
+        # both enantiomers' spectra from the bare inputs at 60 digits, where
+        # subtracting nearly equal frequencies costs nothing
+        def spectrum(trace, f1, f2):
+            root = mpmath.sqrt(trace**2 - 4 * f1 * f2)
+            return mpmath.sqrt((trace + root) / 2), mpmath.sqrt((trace - root) / 2)
+
+        for xi in (3.712e-5, 1e-5, 1.0):
+            emitter, mode = make_system(xi=xi)
+            mirror, _ = make_system(xi=-xi)
+            stable = 0
+            for n in (2**k for k in range(61)):
+                with mpmath.workdps(60):
+                    w, eta, mu = map(mpmath.mpf, (0.1, 1e-3, 2.0))
+                    dressing = n if selfpol == "collective" else 1
+                    w_tilde = mpmath.sqrt(w**2 + 2 * dressing * w * eta**2 * mu**2)
+                    y = n * (eta * mu) ** 2 * w * w / (2 * w_tilde)  # N g_tilde^2
+                    xi_tilde = w_tilde / w * mpmath.mpf(xi)
+                    f1, f2 = w * w_tilde - 4 * y, w * w_tilde - 4 * y * xi_tilde**2
+                    if min(f1, f2) <= 0:
+                        continue
+                    trace = w**2 + w_tilde**2
+                    up_l, low_l = spectrum(trace + 8 * xi_tilde * y, f1, f2)
+                    up_r, low_r = spectrum(trace - 8 * xi_tilde * y, f1, f2)
+                    reference = (up_l - up_r, low_l - low_r, (up_l + low_l - up_r - low_r) / 2)
+                result = discrimination(emitter, mode, n, selfpol)
+                assert discrimination(mirror, mode, n, selfpol) == result
+                for value, exact, rtol in zip(result, reference, (1e-12, 1e-12, 1e-14)):
+                    assert abs(value - exact) <= rtol * abs(exact), (xi, n)
+                stable += 1
+            assert stable > 0
+
+    def test_splitting_below_resolution_stays_finite(self):
+        # eta=1e-160: both discriminants underflow to 0 while dT does not; at
+        # xi_tilde = 1 the matched upper branch sits 2 g above the mismatched
+        # one (to ~1%, as g^2 is subnormal)
+        emitter, mode = make_system(xi=1.0, omega_m=0.01, eta=1e-160)
+        result = discrimination(emitter, mode, 1)
+        g = 1e-160 * np.sqrt(0.01 / 2) * 2.0
+        assert result.delta_omega_plus == pytest.approx(2 * g, rel=0.02)
+        assert all(np.isfinite(result)) and result.delta_e_vac > 0.0
+
     def test_vacuum_energy_accessor(self):
         sol = solve_polaritons(couplings(g=0.1, xi=1.0))
         assert sol.e_vac == pytest.approx((1.2 + 0.8) / 2, abs=1e-12)

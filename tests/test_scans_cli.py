@@ -10,7 +10,7 @@ from chiralpol.config import read_csv_metadata
 from chiralpol.couplings import DerivedCouplings
 from chiralpol.emitters import Emitter
 from chiralpol.fields import SPEED_OF_LIGHT_AU, CavityMode
-from chiralpol.hopfield import discrimination, enantiomer_difference, polariton_frequencies
+from chiralpol.hopfield import discrimination, polariton_frequencies
 from chiralpol.scans import (
     CAVITY_DEFAULTS,
     N_SCAN_DEFAULTS,
@@ -140,6 +140,26 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan-n", "--set", "n_max_exp=60", "--set", "selfpol=collective"],
+            ["scan-n", "--set", "n_max_exp=60", "--set", "selfpol=local"],
+            ["scan-cavity", "--set", "omega_k_points=3", "--set", "xi_points=3"],
+            ["scan-dispersion", "--set", "k_par_points=3"],
+        ],
+        ids=["scan-n", "scan-n-local", "scan-cavity", "scan-dispersion"],
+    )
+    def test_extreme_scales_never_end_in_a_traceback(self, argv):
+        # omega_m 1e-200 ... 1e20 and eta 1e-12 ... 1e160, four decades apart:
+        # a row may be flagged unstable or the input refused, but never a crash
+        settings = [f"omega_m=1e{k}" for k in range(-200, 21, 4)]
+        settings += [f"eta=1e{k}" for k in range(-12, 161, 4)]
+        for setting in settings:
+            code, _, err = run_cli([*argv, "--set", setting])
+            assert code in (0, 1), setting
+            assert "Traceback" not in err
+
 
 class TestDeterminism:
     def test_identical_config_gives_identical_bytes(self):
@@ -223,10 +243,16 @@ class TestScanCavity:
             assert record["omega_plus"] == pytest.approx(upper, rel=1e-14)
             assert record["omega_minus"] == pytest.approx(lower, rel=1e-14)
 
-    def test_ultrastrong_achiral_column_is_exact(self):
+    @pytest.mark.parametrize(
+        "key, value, omega_m",
+        [("eta", "1e10", 0.1), ("omega_m", "1e-100", 1e-100)],
+        ids=["eta=1e10", "omega_m=1e-100"],
+    )
+    def test_ultrastrong_achiral_column_is_exact(self, key, value, omega_m):
         # eta=1e10: omega_k_bar*omega_m_tilde ~ 1e10 while f1 ~ 1e-14, so a
-        # stability factor formed as a difference is pure roundoff here
-        table = scan_cavity({**CAVITY_DEFAULTS, "eta": "1e10"})
+        # stability factor formed as a difference is pure roundoff here;
+        # omega_m=1e-100: f1*f2 underflows although each factor does not
+        table = scan_cavity({**CAVITY_DEFAULTS, key: value})
         column = [row for row in table.rows if row[1] == 0.0]
         assert len(column) == 41
         for row in column:
@@ -237,7 +263,7 @@ class TestScanCavity:
                 assert abs(total - 1.0) <= 1e-12
             # a dipole-only emitter at xi = 0: Omega+ Omega- = omega_k_bar*omega_m
             product = record["omega_plus"] * record["omega_minus"]
-            assert product == pytest.approx(record["omega_k_bar"] * 0.1, rel=1e-13)
+            assert product == pytest.approx(record["omega_k_bar"] * omega_m, rel=1e-13)
 
     def test_handedness_symmetry_across_the_grid(self):
         # 5 points is a count at which plain linspace(-1, 1) happens to be
@@ -282,18 +308,14 @@ class TestScanN:
     def test_rows_equal_the_shared_enantiomer_difference(self, selfpol):
         table = scan_n({**N_SCAN_DEFAULTS, "selfpol": selfpol})
         xi = float(N_SCAN_DEFAULTS["xi"])
-        left = Emitter.collinear(0.1, [2.0, 0, 0], xi=xi)
-        right = Emitter.collinear(0.1, [2.0, 0, 0], xi=-xi)
+        emitter = Emitter.collinear(0.1, [2.0, 0, 0], xi=xi)
         mode = CavityMode(1, 0.1, 0.001, 0.1 / SPEED_OF_LIGHT_AU, 0.0)
         stable = 0
         for n, d_up, d_low, d_evac, _, unstable in table.rows:
             if unstable:
                 continue
             stable += 1
-            if selfpol == "collective":
-                expected = discrimination(left, mode, int(n))
-            else:
-                expected = enantiomer_difference(left, right, mode, int(n), selfpol)
+            expected = discrimination(emitter, mode, int(n), selfpol)
             assert (d_up, d_low, d_evac) == tuple(expected)
         assert stable > 0
 
