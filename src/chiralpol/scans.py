@@ -451,7 +451,7 @@ def run_oracle_suite(table: dict) -> ScanTable:
     """Randomized analytic-vs-Fock regression grid.
 
     Deterministic for a fixed seed. A worst relative deviation of either
-    branch above tol sets the table's `failure` (CLI exit status 2).
+    branch or of E0 above tol sets the table's `failure` (CLI exit status 2).
     """
     n_sets = config_int(table, "oracle_sets")
     _require(n_sets >= 1, "oracle_sets", n_sets, "must be at least 1")
@@ -472,7 +472,9 @@ def run_oracle_suite(table: dict) -> ScanTable:
     for index in range(n_sets):
         c = sample_stable_couplings(rng, max_ratio)
         report = oracle_check(c, fock_config, check_convergence=check_convergence)
-        worst = max(worst, report.deviation_plus, report.deviation_minus)
+        worst = max(
+            worst, report.deviation_plus, report.deviation_minus, report.e0_deviation
+        )
         rows.append(
             (
                 float(index),

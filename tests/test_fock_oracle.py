@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from chiralpol.couplings import DerivedCouplings
 from chiralpol.fock_oracle import (
     FockConfig,
-    _real_gauge_hamiltonian,
+    _sector_band,
     build_fock_hamiltonian,
     fit_ladder,
     low_levels,
@@ -96,18 +96,28 @@ class TestHamiltonianBuild:
             full[np.ix_(hand_indices, hand_indices)], expected, atol=1e-15
         )
 
-    def test_real_gauge_is_unitarily_equivalent(self):
+    def test_sector_bands_are_the_gauged_complex_hamiltonian(self):
+        cutoff = 6
         c = couplings(w_photon=1.2, w_matter=0.8, g=0.11, xi=-0.6)
-        complex_h = build_fock_hamiltonian(c, FockConfig(cutoff=6))
-        real_h = _real_gauge_hamiltonian(c, 6)
-        assert np.linalg.norm(real_h - real_h.T) == 0.0
-        assert_allclose(
-            np.linalg.eigvalsh(complex_h), np.linalg.eigvalsh(real_h), atol=1e-12
-        )
+        dim = cutoff + 1
+        n_photon, n_matter = np.divmod(np.arange(dim * dim), dim)
+        gauge = np.diag(1j**n_photon)  # photon phase a -> i a
+        gauged = gauge.conj().T @ build_fock_hamiltonian(c, FockConfig(cutoff)) @ gauge
+        assert np.max(np.abs(gauged.imag)) < 1e-15
+        total = n_photon + n_matter
+        for parity in (0, 1):
+            states = np.where(total % 2 == parity)[0]
+            states = states[np.lexsort((n_photon[states], total[states]))]
+            band = _sector_band(c, cutoff, parity)
+            unpacked = np.zeros((states.size, states.size))
+            for d in range(band.shape[0]):
+                unpacked += np.diag(band[d, : states.size - d], -d)
+            unpacked = np.tril(unpacked) + np.tril(unpacked, -1).T
+            assert_allclose(unpacked, gauged.real[np.ix_(states, states)], atol=1e-15)
 
     def test_parity_blocks_do_not_mix(self):
         c = couplings(g=0.2, xi=0.5)
-        h = _real_gauge_hamiltonian(c, 5)
+        h = build_fock_hamiltonian(c, FockConfig(cutoff=5))
         total = np.arange(36) // 6 + np.arange(36) % 6
         even, odd = np.where(total % 2 == 0)[0], np.where(total % 2 == 1)[0]
         assert np.linalg.norm(h[np.ix_(even, odd)]) == 0.0
@@ -206,8 +216,22 @@ class TestSpectrum:
         assert fit.omega_plus == pytest.approx(op)
         assert fit.residual < 1e-9
 
+    def test_low_levels_match_complex_reference(self):
+        rng = np.random.default_rng(11)
+        for cutoff in (4, 6, 12):
+            for _ in range(5):
+                c = stable_random_couplings(rng)
+                h = build_fock_hamiltonian(c, FockConfig(cutoff))
+                levels = low_levels(c, cutoff, count=48)
+                assert levels.size == min(48, (cutoff + 1) ** 2)  # all 25 at cutoff 4
+                assert_allclose(
+                    levels, np.linalg.eigvalsh(h)[: levels.size], atol=1e-12
+                )
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="cutoff"):
             FockConfig(cutoff=2)
+        with pytest.raises(ValueError, match="cutoff"):
+            FockConfig(cutoff=101)
         with pytest.raises(ValueError, match="tol"):
             FockConfig(tol=0.0)

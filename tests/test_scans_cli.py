@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from chiralpol import fock_oracle
 from chiralpol.cli import main
 from chiralpol.config import read_csv_metadata
 from chiralpol.couplings import DerivedCouplings
@@ -56,6 +57,29 @@ class TestExitCodes:
         )
         assert code == 2
         assert "deviation" in err
+
+    def test_oracle_e0_offset_exit(self, monkeypatch):
+        # every level shifted alike: the gaps still match, only E0 is off
+        levels = fock_oracle.low_levels
+        monkeypatch.setattr(
+            fock_oracle,
+            "low_levels",
+            lambda c, cutoff, count=48: levels(c, cutoff, count) + 1e-3,
+        )
+        code, _, err = run_cli(
+            ["oracle", "--set", "oracle_sets=2", "--set", "fock_cutoff=12"]
+        )
+        assert code == 2
+        assert "deviation" in err
+
+    @pytest.mark.parametrize("cutoff", ["101", "10000000000000"])
+    def test_huge_fock_cutoff_is_a_config_error(self, cutoff):
+        code, _, err = run_cli(
+            ["oracle", "--set", "oracle_sets=1", "--set", f"fock_cutoff={cutoff}"]
+        )
+        assert code == 1
+        assert err.startswith("config error:") and "cutoff" in err
+        assert "Traceback" not in err
 
     def test_strict_instability_exit(self):
         code, out, err = run_cli(
