@@ -8,12 +8,16 @@ and writes a deterministic CSV (stdout by default). Exit codes: 0 ok,
 """
 
 import argparse
+import functools
 import sys
 
 from .config import ConfigError, load_config_file, merge_config, parse_config_text
 from .scans import SCAN_COMMANDS
 
 
+# built on first use and shared by every later call in the process; parsing
+# leaves it unchanged (the --set action appends to a copy of its default)
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chiralpol",

@@ -7,6 +7,7 @@ mode), and the factor c in m = -i c xi mu cancels against the magnetic mode
 normalization.
 """
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -27,6 +28,38 @@ class InstabilityError(Exception):
 
 class MagneticInstabilityError(InstabilityError):
     """Self-magnetization drove the dressed photon frequency squared negative."""
+
+
+def _overflow(kind, flag):
+    raise OverflowError(f"numeric {kind}")
+
+
+def elementwise(func):
+    """Evaluate func's NumPy arrays under the package's floating-point policy.
+
+    An overflow raises OverflowError, as Python's float ** does. Entries that
+    fail a stability check are computed on and then masked, so invalid
+    operations and divisions by zero there stay silent.
+    """
+
+    @functools.wraps(func)
+    def inner(*args, **kwargs):
+        with np.errstate(over="call", call=_overflow, invalid="ignore", divide="ignore"):
+            return func(*args, **kwargs)
+
+    return inner
+
+
+def square(x):
+    """x**2 as libm pow(x, 2), which Python's float ** calls. NumPy's x**2
+    is x*x, which rounds differently for ~0.1% of inputs; pow makes a batch
+    reproduce Python float arithmetic digit for digit."""
+    return np.float_power(x, 2)
+
+
+def scalar_or_array(value):
+    """A batch of one (0-d) as a Python scalar; an array as it is."""
+    return value.item() if np.ndim(value) == 0 and hasattr(value, "item") else value
 
 
 @dataclass(frozen=True)
@@ -56,6 +89,9 @@ class DerivedCouplings:
     f1, f2        : stability factors ww - 4Ng^2, ww - 4Ng^2 xi^2 (ww = wk*wm):
                     cancellation-free from derive_couplings, else (None) the
                     dressed differences, which a given value must match
+
+    Every field but handedness may be an array (a batch, entry by entry);
+    a batch entry that is unstable is NaN in every float field.
     """
 
     omega_k_bar: float
@@ -70,28 +106,52 @@ class DerivedCouplings:
     f1: float | None = None
     f2: float | None = None
 
+    @elementwise
     def __post_init__(self):
-        if not self.omega_k_bar > 0:
+        if np.any(np.less_equal(self.omega_k_bar, 0.0)):
             raise ValueError(f"omega_k_bar must be positive, got {self.omega_k_bar}")
-        if not self.omega_m_tilde > 0:
+        if np.any(np.less_equal(self.omega_m_tilde, 0.0)):
             raise ValueError(
                 f"omega_m_tilde must be positive, got {self.omega_m_tilde}"
             )
         if self.handedness not in (+1, -1):
             raise ValueError(f"handedness must be +1 or -1, got {self.handedness}")
-        if self.n_emitters < 1:
+        if np.any(np.less(self.n_emitters, 1)):
             raise ValueError(f"n_emitters must be at least 1, got {self.n_emitters}")
-        coupling = 4.0 * self.n_emitters * self.g_tilde**2
+        coupling = 4.0 * self.n_emitters * square(self.g_tilde)
         product = self.omega_k_bar * self.omega_m_tilde
-        tol = 1e-12 * (product + coupling * max(1.0, self.xi_tilde**2))
-        for name, xi_sq in (("f1", 1.0), ("f2", self.xi_tilde**2)):
+        tol = 1e-12 * (product + coupling * np.maximum(1.0, square(self.xi_tilde)))
+        for name, xi_sq in (("f1", 1.0), ("f2", square(self.xi_tilde))):
             dressed, given = product - coupling * xi_sq, getattr(self, name)
             if given is None:
-                object.__setattr__(self, name, dressed)
-            elif np.isfinite(dressed) and not abs(given - dressed) <= tol:
+                object.__setattr__(self, name, scalar_or_array(dressed))
+            elif np.any(np.isfinite(dressed) & ~(np.abs(given - dressed) <= tol)):
                 raise ValueError(f"{name}={given!r} is not the dressed value {dressed!r}")
 
 
+def _photon_frequency(contraction, mode: CavityMode, n_emitters):
+    """omega_k_bar from the contraction eps' chi_m eps; NaN where unstable."""
+    wbar_sq = square(mode.omega_k)
+    wbar_sq = wbar_sq + 2.0 * n_emitters * square(mode.k_z) * square(mode.eta) * contraction
+    unstable = np.less_equal(wbar_sq, 0.0)
+    if np.ndim(unstable) == 0 and unstable:
+        raise MagneticInstabilityError(
+            f"self-magnetization contraction {contraction:.6e} makes "
+            "omega_k_bar^2 nonpositive",
+            float(wbar_sq),
+        )
+    return np.sqrt(np.where(unstable, np.nan, wbar_sq))
+
+
+def _matter_frequency(omega_m, mu_proj, mode: CavityMode, factor):
+    """omega_m_tilde from mu.eps, with factor N (collective) or 1 (local)."""
+    wt_sq = square(omega_m) + 2.0 * factor * omega_m * square(mode.eta) * square(mu_proj)
+    if not np.all(np.greater(wt_sq, 0.0)):  # a sum of squares unless an input is not finite
+        raise ValueError(f"omega_m_tilde^2 must be positive, got {wt_sq}")
+    return np.sqrt(wt_sq)
+
+
+@elementwise
 def dressed_photon_frequency(chi_m, mode: CavityMode, n_emitters: int) -> float:
     """Photon frequency dressed by the parametric self-magnetization.
 
@@ -105,17 +165,10 @@ def dressed_photon_frequency(chi_m, mode: CavityMode, n_emitters: int) -> float:
     if np.linalg.norm(chi - chi.T) > 1e-12:
         raise ValueError("chi_m must be symmetric")
     eps = standing_wave_polarization(mode)
-    contraction = float(eps @ chi @ eps)
-    wbar_sq = mode.omega_k**2 + 2.0 * n_emitters * mode.k_z**2 * mode.eta**2 * contraction
-    if wbar_sq <= 0.0:
-        raise MagneticInstabilityError(
-            f"self-magnetization contraction {contraction:.6e} makes "
-            "omega_k_bar^2 nonpositive",
-            wbar_sq,
-        )
-    return float(np.sqrt(wbar_sq))
+    return scalar_or_array(_photon_frequency(float(eps @ chi @ eps), mode, n_emitters))
 
 
+@elementwise
 def dressed_matter_frequency(
     emitter: Emitter, mode: CavityMode, n_emitters: int, collective: bool = True
 ) -> float:
@@ -126,15 +179,12 @@ def dressed_matter_frequency(
     only, the alternative model in which intermolecular contributions are
     assumed to cancel). Always >= omega_m: a sum of squares.
     """
-    eps = standing_wave_polarization(mode)
-    mu_proj = float(emitter.mu @ eps)
+    mu_proj = float(emitter.mu @ standing_wave_polarization(mode))
     factor = n_emitters if collective else 1
-    wt_sq = emitter.omega_m**2 + 2.0 * factor * emitter.omega_m * mode.eta**2 * mu_proj**2
-    if not wt_sq > 0.0:  # a sum of squares unless an input is not finite
-        raise ValueError(f"omega_m_tilde^2 must be positive, got {wt_sq}")
-    return float(np.sqrt(wt_sq))
+    return scalar_or_array(_matter_frequency(emitter.omega_m, mu_proj, mode, factor))
 
 
+@elementwise
 def derive_couplings(
     emitter: Emitter,
     mode: CavityMode,
@@ -149,36 +199,37 @@ def derive_couplings(
     scalar contraction Q_ab d_a eps_b, added to mu.eps with the paper's +Q
     sign. A vanishing electric contraction yields g = xi = 0 with the
     decoupled flag instead of an error, so orientation scans do not abort.
+
+    Batches broadcast entry by entry: `emitter` may be a sequence of
+    emitters (the last axis), and mode.omega_k and n_emitters may be arrays.
+    A single emitter with scalar omega_k and N is a batch of one: it returns
+    Python scalars and raises MagneticInstabilityError where a batch holds
+    a NaN entry.
     """
     if selfpol not in ("collective", "local"):
         raise ValueError(f"selfpol must be 'collective' or 'local', got {selfpol!r}")
     eps = standing_wave_polarization(mode)
     grad = polarization_gradient(mode)
-
-    mu_proj = float(emitter.mu @ eps)
-    quad_proj = float(np.sum(emitter.quadrupole * grad))
-    electric = mu_proj + quad_proj
-    magnetic = float(chiral_tdm_vector(emitter) @ eps)
-
-    omega_k_bar = dressed_photon_frequency(emitter.chi_m, mode, n_emitters)
-    omega_m_tilde = dressed_matter_frequency(
-        emitter, mode, n_emitters, collective=(selfpol == "collective")
-    )
-    omega_m = emitter.omega_m
+    single = isinstance(emitter, Emitter)
+    terms = np.array(
+        [
+            (
+                e.omega_m,
+                e.mu @ eps,
+                np.sum(e.quadrupole * grad),
+                chiral_tdm_vector(e) @ eps,
+                eps @ e.chi_m @ eps,
+            )
+            for e in ([emitter] if single else emitter)
+        ]
+    ).T
+    omega_m, mu_proj, quad_proj, magnetic, contraction = terms[:, 0] if single else terms
     omega_k = mode.omega_k
+    electric = mu_proj + quad_proj
+    factor = n_emitters if selfpol == "collective" else 1
 
-    if electric == 0.0:
-        return DerivedCouplings(
-            omega_k_bar=omega_k_bar,
-            omega_m_tilde=omega_m_tilde,
-            g_tilde=0.0,
-            xi_tilde=0.0,
-            g_bar=0.0,
-            xi_bar=0.0,
-            n_emitters=n_emitters,
-            handedness=mode.handedness,
-            decoupled=True,
-        )
+    omega_k_bar = _photon_frequency(contraction, mode, n_emitters)
+    omega_m_tilde = _matter_frequency(omega_m, mu_proj, mode, factor)
 
     # ratios before products: omega_k_bar*omega_m goes subnormal at omega_m ~ 1e-158
     g_tilde = mode.eta * np.sqrt(0.5 * omega_k_bar * (omega_m / omega_m_tilde)) * electric
@@ -189,25 +240,29 @@ def derive_couplings(
     # omega_m_tilde^2 cancels the dipole part of 4Ng^2 = 2N eta^2 omega_m e^2
     # omega_k_bar/omega_m_tilde exactly (factor is the N of that dressing);
     # no frequency is squared, so tiny frequencies do not go subnormal
-    factor = n_emitters if selfpol == "collective" else 1
-    scale = 2.0 * mode.eta**2
+    scale = 2.0 * square(mode.eta)
     excess = factor * quad_proj * (2.0 * mu_proj + quad_proj)
-    excess += (n_emitters - factor) * electric**2
-    magnetic_sq = n_emitters * scale * omega_m * (omega_k * magnetic / omega_m) ** 2
+    excess = excess + (n_emitters - factor) * square(electric)
+    magnetic_sq = n_emitters * scale * omega_m * square(omega_k * magnetic / omega_m)
     f1 = omega_k_bar * (omega_m / omega_m_tilde) * (omega_m - scale * excess)
     f2 = omega_m_tilde * (omega_k_bar - magnetic_sq / omega_k_bar)
 
+    # a decoupled entry has g = xi = 0, so its factors are the dressed product
+    decoupled = electric == 0.0
+    product = omega_k_bar * omega_m_tilde
+    g_tilde, xi_tilde, g_bar, xi_bar = (
+        np.where(decoupled, 0.0, x) for x in (g_tilde, xi_tilde, g_bar, xi_bar)
+    )
+    f1, f2 = (np.where(decoupled, product, f) for f in (f1, f2))
+    # an entry without a real omega_k_bar is NaN throughout
+    unstable = np.isnan(omega_k_bar)
+    names = ("omega_k_bar", "omega_m_tilde", "g_tilde", "xi_tilde", "g_bar", "xi_bar", "f1", "f2")
+    values = (omega_k_bar, omega_m_tilde, g_tilde, xi_tilde, g_bar, xi_bar, f1, f2)
     return DerivedCouplings(
-        omega_k_bar=float(omega_k_bar),
-        omega_m_tilde=float(omega_m_tilde),
-        g_tilde=float(g_tilde),
-        xi_tilde=float(xi_tilde),
-        g_bar=float(g_bar),
-        xi_bar=float(xi_bar),
         n_emitters=n_emitters,
         handedness=mode.handedness,
-        f1=float(f1),
-        f2=float(f2),
+        decoupled=scalar_or_array(decoupled),
+        **{name: scalar_or_array(np.where(unstable, np.nan, x)) for name, x in zip(names, values)},
     )
 
 

@@ -21,7 +21,8 @@ class CavityMode:
     """Single-handedness standing-wave mode of a chiral cavity.
 
     handedness : helicity eigenvalue, +1 (LH) or -1 (RH)
-    omega_k    : photon frequency (a.u.)
+    omega_k    : photon frequency (a.u.); an array makes a batch of modes
+                 that differ only in frequency
     eta        : fundamental coupling sqrt(1/eps0*V) (a.u.)
     k_z        : vertical wavenumber component (a.u.); equals omega_k/c for
                  the vertical vacuum mode, but is kept as an independent
@@ -42,7 +43,7 @@ class CavityMode:
     def __post_init__(self):
         if self.handedness not in (+1, -1):
             raise ValueError(f"handedness must be +1 or -1, got {self.handedness}")
-        if not self.omega_k > 0:
+        if not np.all(np.greater(self.omega_k, 0.0)):
             raise ValueError(f"omega_k must be positive, got {self.omega_k}")
         if not self.eta >= 0:
             raise ValueError(f"eta must be nonnegative, got {self.eta}")

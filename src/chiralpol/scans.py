@@ -27,7 +27,7 @@ from .config import (
     config_int,
     render_value,
 )
-from .couplings import DerivedCouplings, InstabilityError, derive_couplings
+from .couplings import DerivedCouplings, derive_couplings
 from .emitters import Emitter, chiral_tdm_vector
 from .fields import SPEED_OF_LIGHT_AU, CavityMode
 from .fock_oracle import FockConfig, OracleReport, oracle_check
@@ -234,32 +234,26 @@ def scan_cavity(table: dict) -> ScanTable:
         "xi_points",
     )
 
+    # one batch over the grid: omega_k down the rows, xi along them
     emitters = [system.emitter(float(xi)) for xi in xis]
-    rows = []
-    for omega_k in omegas:
-        mode = system.mode(float(omega_k))
-        for xi, emitter in zip(xis, emitters):
-            try:
-                c = derive_couplings(emitter, mode, n_emitters)
-                sol = solve_polaritons(c)
-                rows.append(
-                    (
-                        omega_k,
-                        xi,
-                        c.omega_k_bar,
-                        c.omega_m_tilde,
-                        sol.omega_plus,
-                        sol.omega_minus,
-                        sol.photon_fraction_plus,
-                        sol.matter_fraction_plus,
-                        sol.photon_fraction_minus,
-                        sol.matter_fraction_minus,
-                        sol.e_vac,
-                        0.0,
-                    )
-                )
-            except InstabilityError:
-                rows.append((omega_k, xi) + (0.0,) * 9 + (1.0,))
+    c = derive_couplings(emitters, system.mode(omegas[:, None]), n_emitters)
+    sol = solve_polaritons(c)
+    unstable = np.isnan(sol.omega_plus)
+    values = (
+        c.omega_k_bar,
+        c.omega_m_tilde,
+        sol.omega_plus,
+        sol.omega_minus,
+        sol.photon_fraction_plus,
+        sol.matter_fraction_plus,
+        sol.photon_fraction_minus,
+        sol.matter_fraction_minus,
+        sol.e_vac,
+    )
+    columns = np.broadcast_arrays(
+        omegas[:, None], xis, *(np.where(unstable, 0.0, v) for v in values), unstable
+    )
+    rows = np.stack([column.ravel() for column in columns], axis=-1).tolist()
 
     return ScanTable(
         column_names=(
@@ -294,20 +288,17 @@ def scan_cavity(table: dict) -> ScanTable:
     )
 
 
-def _loglog_slopes(n_values, deltas, usable) -> list:
-    """Centered log-log slope of |delta| vs N; 0.0 where undefined."""
-    slopes = []
-    for i in range(len(n_values)):
-        left = i - 1 if i > 0 and usable[i - 1] else i
-        right = i + 1 if i + 1 < len(n_values) and usable[i + 1] else i
-        if not usable[i] or left == right:
-            slopes.append(0.0)
-            continue
-        slopes.append(
-            (np.log(abs(deltas[right])) - np.log(abs(deltas[left])))
-            / (np.log(n_values[right]) - np.log(n_values[left]))
-        )
-    return slopes
+def _loglog_slopes(n_values, deltas, usable) -> np.ndarray:
+    """Centered log-log slope of |delta| vs N, each side falling back to the
+    point itself where its neighbour is not usable; 0.0 where undefined."""
+    index = np.arange(len(n_values))
+    left = np.where((index > 0) & np.roll(usable, 1), index - 1, index)
+    right = np.where((index + 1 < len(index)) & np.roll(usable, -1), index + 1, index)
+    defined = usable & (left != right)
+    log_n = np.log(n_values)
+    log_d = np.log(np.abs(np.where(usable, deltas, 1.0)))
+    span = np.where(defined, log_n[right] - log_n[left], 1.0)
+    return np.where(defined, (log_d[right] - log_d[left]) / span, 0.0)
 
 
 def scan_n(table: dict) -> ScanTable:
@@ -328,23 +319,12 @@ def scan_n(table: dict) -> ScanTable:
     n_max_exp = config_int(table, "n_max_exp")
     _require(0 <= n_max_exp <= 60, "n_max_exp", n_max_exp, "expected 0..60")
     selfpol = config_choice(table, "selfpol", ("collective", "local"))
-    mode = system.mode(omega_k)
-    emitter = system.emitter(xi)
-
-    n_values = [2**k for k in range(n_max_exp + 1)]
-    deltas = []
-    for n in n_values:
-        try:
-            deltas.append((*discrimination(emitter, mode, n, selfpol), False))
-        except InstabilityError:
-            deltas.append((0.0, 0.0, 0.0, True))
-
-    usable = [not unstable and d_evac != 0.0 for _, _, d_evac, unstable in deltas]
-    slopes = _loglog_slopes(n_values, [d[2] for d in deltas], usable)
-    rows = tuple(
-        (n, d_up, d_low, d_evac, slope, float(unstable))
-        for n, (d_up, d_low, d_evac, unstable), slope in zip(n_values, deltas, slopes)
-    )
+    n_values = 2 ** np.arange(n_max_exp + 1)
+    deltas = discrimination(system.emitter(xi), system.mode(omega_k), n_values, selfpol)
+    unstable = np.isnan(deltas.delta_e_vac)
+    d_up, d_low, d_evac = (np.where(unstable, 0.0, d) for d in deltas)
+    slopes = _loglog_slopes(n_values, d_evac, ~unstable & (d_evac != 0.0))
+    rows = np.stack([n_values, d_up, d_low, d_evac, slopes, unstable], axis=-1).tolist()
 
     return ScanTable(
         column_names=(

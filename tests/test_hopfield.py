@@ -3,11 +3,11 @@ import dataclasses
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from chiralpol.couplings import DerivedCouplings, derive_couplings
+from chiralpol.couplings import DerivedCouplings, InstabilityError, derive_couplings
 from chiralpol.emitters import Emitter
 from chiralpol.fields import CavityMode
 from chiralpol.hopfield import (
@@ -418,3 +418,64 @@ class TestLocalSelfPolarization:
         assert 2**13 < critical <= 2**14
         for n in grid:
             polariton_frequencies(derive_couplings(emitter, mode, n))
+
+
+class TestBatches:
+    """A batch gives, entry by entry, what the batch of one gives; an
+    unstable entry is NaN exactly where the batch of one raises."""
+
+    @seed(20240)
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(
+        log_eta=st.floats(-4.0, 10.0),
+        n_exps=st.lists(st.just(0.0) | st.floats(0.0, 60.0), min_size=1, max_size=4),
+        xis=st.lists(st.just(0.0) | st.floats(-2.0, 2.0), min_size=1, max_size=3),
+        omegas=st.lists(st.floats(0.05, 0.2), min_size=1, max_size=3),
+        quadrupole=st.lists(st.floats(-20.0, 20.0), min_size=9, max_size=9),
+        chi_m=st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9),
+        lam=st.sampled_from([1, -1]),
+        selfpol=st.sampled_from(["collective", "local"]),
+    )
+    def test_batch_matches_batch_of_one(
+        self, log_eta, n_exps, xis, omegas, quadrupole, chi_m, lam, selfpol
+    ):
+        quad, chi = (np.reshape(m, (3, 3)) for m in (quadrupole, chi_m))
+        emitters = [
+            Emitter(0.1, [2.0, 0.3, 0.0], quad + quad.T, xi, chi_m=chi + chi.T) for xi in xis
+        ]
+        mode = CavityMode(handedness=lam, omega_k=0.1, eta=10.0**log_eta, k_z=0.05, z=7.0)
+        n_values = np.array([int(2.0**e) for e in n_exps])
+        omegas = np.array(omegas)
+
+        grid = dataclasses.replace(mode, omega_k=omegas[:, None])
+        c = derive_couplings(emitters, grid, n_values[0], selfpol)
+        sol = solve_polaritons(c)
+        for (i, j), upper in np.ndenumerate(sol.omega_plus):
+            try:
+                one_c = derive_couplings(
+                    emitters[j], dataclasses.replace(mode, omega_k=omegas[i]), n_values[0], selfpol
+                )
+                one = solve_polaritons(one_c)
+            except InstabilityError:
+                assert np.isnan(upper)
+                continue
+            frequencies = ("omega_plus", "omega_minus", "e_vac")
+            assert [getattr(sol, name)[i, j] for name in frequencies] == [
+                getattr(one, name) for name in frequencies
+            ]
+            assert (c.omega_k_bar[i, j], c.omega_m_tilde[i, j]) == (
+                one_c.omega_k_bar, one_c.omega_m_tilde
+            )
+            for name in ("photon", "matter"):
+                for branch in ("plus", "minus"):
+                    field = f"{name}_fraction_{branch}"
+                    assert abs(getattr(sol, field)[i, j] - getattr(one, field)) <= 1e-15
+
+        deltas = np.array(discrimination(emitters[0], mode, n_values, selfpol))
+        for k, n in enumerate(n_values):
+            try:
+                one = discrimination(emitters[0], mode, int(n), selfpol)
+            except InstabilityError:
+                assert np.all(np.isnan(deltas[:, k]))
+                continue
+            assert tuple(deltas[:, k]) == tuple(one)

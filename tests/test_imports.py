@@ -1,12 +1,19 @@
 """Structural guards: every import in the package sits at module level, so a
-dependency cycle between its modules cannot hide inside a function body, and
-the names the traced benchmark rebinds still exist."""
+dependency cycle between its modules cannot hide inside a function body;
+the names the traced benchmark rebinds still exist and its smoke run passes;
+and each scan evaluates its points in batches, not point by point."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
+
+import pytest
+
+from chiralpol import hopfield, scans
 
 REPO = Path(__file__).resolve().parents[1]
 PACKAGE = REPO / "src" / "chiralpol"
@@ -40,3 +47,69 @@ def test_benchmark_tracer_installs():
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_benchmark_smoke_run_is_correct():
+    # runs the batched scans against perfbench/reference.json through the
+    # tracer's rebound names
+    result = subprocess.run(
+        [
+            sys.executable, "perfbench/run.py", "--workload", "small-scans",
+            "--seed", "1", "--seconds", "1", "--trace", "1", "--smoke",
+        ],
+        cwd=REPO,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    summary = json.loads(result.stdout.strip().splitlines()[-1])
+    assert summary["correct"] is True
+    assert summary["failed"] == 0
+    assert summary["attempted"] > 0
+
+
+@pytest.fixture
+def stage_calls(monkeypatch):
+    """Counts calls of the solver stages the scans go through."""
+    counts = Counter()
+
+    def count(module, name):
+        stage = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return stage(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(scans, "derive_couplings")
+    count(scans, "solve_polaritons")
+    count(hopfield, "derive_couplings")
+    count(hopfield, "polariton_frequencies")
+    return counts
+
+
+@pytest.mark.parametrize(
+    "scan, defaults, sizes",
+    [
+        (scans.scan_n, scans.N_SCAN_DEFAULTS, ({"n_max_exp": "2"}, {"n_max_exp": "60"})),
+        (
+            scans.scan_cavity,
+            scans.CAVITY_DEFAULTS,
+            (
+                {"omega_k_points": "1", "xi_points": "2"},
+                {"omega_k_points": "41", "xi_points": "21"},
+            ),
+        ),
+    ],
+    ids=["scan-n", "scan-cavity"],
+)
+def test_stage_calls_do_not_grow_with_the_point_count(stage_calls, scan, defaults, sizes):
+    per_size = []
+    for size in sizes:
+        stage_calls.clear()
+        scan({**defaults, **size})
+        per_size.append(dict(stage_calls))
+    assert per_size[0] == per_size[1]
+    assert sum(per_size[0].values()) <= 3

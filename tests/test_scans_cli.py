@@ -1,11 +1,12 @@
 import contextlib
 import io
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from chiralpol import fock_oracle
+from chiralpol import cli, fock_oracle
 from chiralpol.cli import main
 from chiralpol.config import read_csv_metadata
 from chiralpol.couplings import DerivedCouplings
@@ -183,6 +184,61 @@ class TestExitCodes:
             code, _, err = run_cli([*argv, "--set", setting])
             assert code in (0, 1), setting
             assert "Traceback" not in err
+
+
+class TestParserCache:
+    def test_calls_in_one_process_match_calls_made_alone(self):
+        # the parser is built once per process; an --set list, a --seed or a
+        # --strict flag of one call must not carry over into the next
+        sequence = [
+            ["scan-n", "--set", "n_max_exp=3", "--set", "xi=0.01"],
+            ["scan-n", "--set", "n_max_exp=2"],
+            ["oracle", "--set", "oracle_sets=1", "--set", "fock_cutoff=12", "--seed", "5"],
+            ["oracle", "--set", "oracle_sets=1", "--set", "fock_cutoff=12"],
+            ["scan-n", "--strict", "--set", "selfpol=local", "--set", "n_max_exp=16"],
+            ["scan-n", "--set", "selfpol=local", "--set", "n_max_exp=16"],
+            ["scan-cavity", "--seed", "3"],
+            ["scan-cavity", "--set", "omega_k_points=2", "--set", "xi_points=2"],
+        ]
+        alone = []
+        for argv in sequence:
+            cli._build_parser.cache_clear()
+            alone.append(run_cli(argv))
+        in_sequence = [run_cli(argv) for argv in sequence]
+        assert [code for code, _, _ in alone] == [0, 0, 0, 0, 3, 0, 1, 0]
+        assert in_sequence == alone
+
+
+class TestUnstableRows:
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            # N = 2^14 onward (the local model's critical N)
+            (
+                ["scan-n", "--set", "selfpol=local", "--set", "n_max_exp=60"],
+                lambda row: row["n"] >= 2**14,
+            ),
+            # every chiral row; the exact factors keep the xi = 0 column stable
+            (["scan-cavity", "--set", "eta=1e10"], lambda row: row["xi"] != 0.0),
+            # the exact f1 itself underflows to 0, so xi = 0 is flagged too
+            (["scan-cavity", "--set", "omega_m=1e-135"], lambda row: True),
+        ],
+        ids=["scan-n-local", "eta=1e10", "omega_m=1e-135"],
+    )
+    def test_flags_without_warnings(self, argv, expected):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(argv)
+        assert code == 0 and err == ""
+        assert [str(w.message) for w in caught] == []
+        header, *lines = [line for line in out.splitlines() if not line.startswith("#")]
+        names = header.split(",")
+        for line in lines:
+            row = dict(zip(names, map(float, line.split(","))))
+            assert row["unstable"] == float(expected(row)), line
+            if row["unstable"]:
+                values = [row[name] for name in names[:-1] if name not in ("n", "omega_k", "xi")]
+                assert values == [0.0] * len(values)
 
 
 class TestDeterminism:
