@@ -42,7 +42,6 @@ from .hopfield import (
     find_critical_n,
     hopfield_coefficients,
     polariton_frequencies,
-    polariton_frequencies_local_selfpol,
     solve_polaritons,
     stability_factors,
 )

@@ -4,9 +4,9 @@ chiral Hopfield Hamiltonian in a truncated Fock basis.
 The Hamiltonian only involves the two collective modes (the dark states are
 already eliminated); the basis keeps every |n, m> with n, m <= cutoff. The
 coupling changes both occupations by one, so each parity sector of n + m,
-ordered by n + m, is a band of half-width about cutoff in a real gauge, and
-LAPACK's band driver gives its lowest levels (two 841-dimensional sectors at
-the default cutoff 40). The faithful complex Hermitian matrix remains the
+ordered by n, then m, is a band of half-width about cutoff/2 in a real gauge,
+and LAPACK's band solver gives its lowest levels (two 841-dimensional sectors
+at the default cutoff 40). The faithful complex Hermitian matrix remains the
 contract of build_fock_hamiltonian, and the equivalence is tested.
 """
 
@@ -20,7 +20,7 @@ from . import hopfield
 from .couplings import DerivedCouplings
 
 
-MAX_CUTOFF = 100  # the convergence re-solve at 200 keeps ~32 MB of band
+MAX_CUTOFF = 100  # the convergence re-solve at 200 keeps ~16 MB of band
 
 
 @dataclass(frozen=True)
@@ -71,12 +71,13 @@ def build_fock_hamiltonian(c: DerivedCouplings, config: FockConfig) -> np.ndarra
 def _sector_band(c: DerivedCouplings, cutoff: int, parity: int) -> np.ndarray:
     """Lower band storage, band[d, j] = H[j + d, j], of the real-gauge H
     (photon phase a -> i a turns the +-i couplings real) on the states |n, m>
-    with n, m <= cutoff and n + m = parity (mod 2), ordered by n + m, then n.
+    with n, m <= cutoff and n + m = parity (mod 2), ordered by n, then m.
+    Every coupling changes n by one, so coupled states sit in adjacent
+    n-blocks of at most (cutoff + 2)//2 states: (cutoff + 1)//2 + 2 band rows.
     """
     n, m = np.divmod(np.arange((cutoff + 1) ** 2), cutoff + 1)
-    order = np.lexsort((n, n + m))
-    order = order[(n + m)[order] % 2 == parity]
-    n, m = n[order], m[order]
+    sector = (n + m) % 2 == parity
+    n, m = n[sector], m[sector]
     index = np.zeros((cutoff + 1, cutoff + 1), dtype=int)
     index[n, m] = np.arange(n.size)
 

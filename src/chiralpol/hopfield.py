@@ -274,24 +274,6 @@ def discrimination(
     )
 
 
-def polariton_frequencies_local_selfpol(
-    emitter: Emitter, mode: CavityMode, n_emitters: int
-) -> tuple[float, float]:
-    """Polariton frequencies with local-only self-polarization dressing.
-
-    The matter dressing lacks the factor N, so the lower branch squared
-    crosses zero at a finite critical N; the raised error names the N at
-    which it happened. Identical to polariton_frequencies at N = 1.
-    """
-    c = derive_couplings(emitter, mode, n_emitters, selfpol="local")
-    try:
-        return polariton_frequencies(c)
-    except PolaritonInstabilityError as err:
-        raise PolaritonInstabilityError(
-            f"local self-polarization model unstable at N={n_emitters}", err.value
-        ) from err
-
-
 def find_critical_n(emitter: Emitter, mode: CavityMode, n_values) -> int | None:
     """First N in n_values at which the local model is unstable, else None."""
     n_values = np.array(n_values)

@@ -16,6 +16,7 @@ from chiralpol.fock_oracle import (
     oracle_check,
 )
 from chiralpol.hopfield import polariton_frequencies
+from chiralpol.scans import sample_stable_couplings
 
 
 def couplings(w_photon=1.0, w_matter=1.0, g=0.1, xi=0.0, lam=1):
@@ -106,14 +107,20 @@ class TestHamiltonianBuild:
         assert np.max(np.abs(gauged.imag)) < 1e-15
         total = n_photon + n_matter
         for parity in (0, 1):
-            states = np.where(total % 2 == parity)[0]
-            states = states[np.lexsort((n_photon[states], total[states]))]
+            states = np.where(total % 2 == parity)[0]  # row-major: by n, then m
             band = _sector_band(c, cutoff, parity)
             unpacked = np.zeros((states.size, states.size))
             for d in range(band.shape[0]):
                 unpacked += np.diag(band[d, : states.size - d], -d)
             unpacked = np.tril(unpacked) + np.tril(unpacked, -1).T
             assert_allclose(unpacked, gauged.real[np.ix_(states, states)], atol=1e-15)
+
+    @pytest.mark.parametrize("cutoff", [4, 5, 12, 40, 80])
+    def test_sector_band_half_width_is_half_the_cutoff(self, cutoff):
+        # n-major order: couplings reach only the adjacent n-block
+        c = couplings(g=0.2, xi=0.5)
+        for parity in (0, 1):
+            assert _sector_band(c, cutoff, parity).shape[0] <= (cutoff + 1) // 2 + 2
 
     def test_parity_blocks_do_not_mix(self):
         c = couplings(g=0.2, xi=0.5)
@@ -235,3 +242,21 @@ class TestSpectrum:
             FockConfig(cutoff=101)
         with pytest.raises(ValueError, match="tol"):
             FockConfig(tol=0.0)
+
+
+class TestSoftModeSuite:
+    def test_gap_ratios_beyond_the_default_sampler(self):
+        # gap ratio in (12, 20]: the sets the oracle suite's sampler rejects
+        # at cutoff 40, resolved at cutoff 80
+        rng = np.random.default_rng(2209)
+        checked = 0
+        while checked < 4:
+            c = sample_stable_couplings(rng, max_gap_ratio=20.0)
+            upper, lower = polariton_frequencies(c)
+            if upper <= 12.0 * lower:
+                continue
+            report = oracle_check(c, FockConfig(cutoff=80), check_convergence=False)
+            assert not report.ambiguous, upper / lower
+            worst = max(report.deviation_plus, report.deviation_minus, report.e0_deviation)
+            assert worst <= 1e-7, (upper / lower, worst)
+            checked += 1

@@ -18,7 +18,6 @@ from chiralpol.hopfield import (
     find_critical_n,
     hopfield_coefficients,
     polariton_frequencies,
-    polariton_frequencies_local_selfpol,
     solve_polaritons,
     stability_factors,
 )
@@ -392,22 +391,17 @@ class TestDiscrimination:
 class TestLocalSelfPolarization:
     def test_single_emitter_is_identical_to_full_model(self):
         emitter, mode = make_system(xi=0.5, mu=1.0)
-        local = polariton_frequencies_local_selfpol(emitter, mode, 1)
+        local = polariton_frequencies(derive_couplings(emitter, mode, 1, selfpol="local"))
         full = polariton_frequencies(derive_couplings(emitter, mode, 1))
         assert local == full
 
     def test_weak_coupling_agreement_with_full_model(self):
         emitter, mode = make_system(xi=0.3)
         for n in (2, 8, 32):
-            local = polariton_frequencies_local_selfpol(emitter, mode, n)
+            local = polariton_frequencies(derive_couplings(emitter, mode, n, selfpol="local"))
             full = polariton_frequencies(derive_couplings(emitter, mode, n))
             assert local[0] == pytest.approx(full[0], rel=1e-2)
             assert local[1] == pytest.approx(full[1], rel=1e-2)
-
-    def test_large_n_instability_names_n(self):
-        emitter, mode = make_system()
-        with pytest.raises(PolaritonInstabilityError, match="N=1048576"):
-            polariton_frequencies_local_selfpol(emitter, mode, 2**20)
 
     def test_critical_n_found_while_full_model_survives(self):
         emitter, mode = make_system()
