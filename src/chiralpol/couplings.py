@@ -147,7 +147,7 @@ def _matter_frequency(omega_m, mu_proj, mode: CavityMode, factor):
     """omega_m_tilde from mu.eps, with factor N (collective) or 1 (local)."""
     wt_sq = square(omega_m) + 2.0 * factor * omega_m * square(mode.eta) * square(mu_proj)
     if not np.all(np.greater(wt_sq, 0.0)):  # a sum of squares unless an input is not finite
-        raise ValueError(f"omega_m_tilde^2 must be positive, got {wt_sq}")
+        raise ValueError(f"omega_m_tilde^2 must be positive, got {float(np.min(wt_sq))!r}")
     return np.sqrt(wt_sq)
 
 

@@ -22,7 +22,8 @@ class CavityMode:
 
     handedness : helicity eigenvalue, +1 (LH) or -1 (RH)
     omega_k    : photon frequency (a.u.); an array makes a batch of modes
-                 that differ only in frequency
+                 that differ only in frequency (and in theta_inc, see
+                 oblique_mode)
     eta        : fundamental coupling sqrt(1/eps0*V) (a.u.)
     k_z        : vertical wavenumber component (a.u.); equals omega_k/c for
                  the vertical vacuum mode, but is kept as an independent
@@ -47,8 +48,10 @@ class CavityMode:
             raise ValueError(f"omega_k must be positive, got {self.omega_k}")
         if not self.eta >= 0:
             raise ValueError(f"eta must be nonnegative, got {self.eta}")
-        if not (0.0 <= self.theta_inc < np.pi / 2):
-            raise ValueError(f"theta_inc must lie in [0, pi/2), got {self.theta_inc}")
+        theta = np.ravel(self.theta_inc)
+        outside = theta[~((0.0 <= theta) & (theta < np.pi / 2))]
+        if outside.size:
+            raise ValueError(f"theta_inc must lie in [0, pi/2), got {float(outside[0])!r}")
 
 
 def standing_wave_polarization(mode: CavityMode) -> np.ndarray:
@@ -111,17 +114,18 @@ def optical_chirality_density(mode: CavityMode) -> float:
     return mode.handedness * mode.omega_k * mode.k_z * mode.eta**2 / 4.0
 
 
-def oblique_mode(base: CavityMode, k_par: float) -> CavityMode:
+def oblique_mode(base: CavityMode, k_par) -> CavityMode:
     """Mode with in-plane momentum k_par on the dispersion omega = c*|k|.
 
     Keeps the vertical wavenumber, handedness, eta and z of `base`;
     sets omega_k = c*sqrt(k_z^2 + k_par^2) and theta_inc = atan(k_par/k_z).
+    An array k_par gives a batch of modes, one per entry.
     """
-    if k_par < 0:
-        raise ValueError(f"k_par must be nonnegative, got {k_par}")
+    if np.any(np.less(k_par, 0)):
+        raise ValueError(f"k_par must be nonnegative, got {float(np.min(k_par))!r}")
     k_total = np.hypot(base.k_z, k_par)
     return dataclasses.replace(
         base,
         omega_k=SPEED_OF_LIGHT_AU * k_total,
-        theta_inc=float(np.arctan2(k_par, base.k_z)),
+        theta_inc=np.arctan2(k_par, base.k_z),
     )

@@ -144,6 +144,15 @@ def _require(ok: bool, key: str, value, requirement: str = "must be positive") -
         raise ConfigError(f"key '{key}': {requirement}, got {value}")
 
 
+def _checked(compute: Callable):
+    """compute(), with a ValueError from the model's own input checks (say, an
+    omega_m whose square underflows) reported as a config error."""
+    try:
+        return compute()
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
+
+
 def _system_from(table: dict) -> SystemConfig:
     omega_m = config_float(table, "omega_m")
     # k_z = omega_m/c is the resonant vertical vacuum mode; it only enters
@@ -166,11 +175,7 @@ def _system_from(table: dict) -> SystemConfig:
     )
     # one reference emitter and mode run the model's own input checks
     # (omega_m > 0, orthogonal xi_rotation, a roll axis, handedness +-1, ...)
-    try:
-        chiral_tdm_vector(system.emitter(0.0))
-        system.mode(omega_m)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    _checked(lambda: (chiral_tdm_vector(system.emitter(0.0)), system.mode(omega_m)))
     return system
 
 
@@ -236,7 +241,7 @@ def scan_cavity(table: dict) -> ScanTable:
 
     # one batch over the grid: omega_k down the rows, xi along them
     emitters = [system.emitter(float(xi)) for xi in xis]
-    c = derive_couplings(emitters, system.mode(omegas[:, None]), n_emitters)
+    c = _checked(lambda: derive_couplings(emitters, system.mode(omegas[:, None]), n_emitters))
     sol = solve_polaritons(c)
     unstable = np.isnan(sol.omega_plus)
     values = (
@@ -253,7 +258,7 @@ def scan_cavity(table: dict) -> ScanTable:
     columns = np.broadcast_arrays(
         omegas[:, None], xis, *(np.where(unstable, 0.0, v) for v in values), unstable
     )
-    rows = np.stack([column.ravel() for column in columns], axis=-1).tolist()
+    rows = np.stack([column.ravel() for column in columns], axis=-1)
 
     return ScanTable(
         column_names=(
@@ -270,7 +275,7 @@ def scan_cavity(table: dict) -> ScanTable:
             "e_vac",
             "unstable",
         ),
-        rows=tuple(rows),
+        rows=rows,
         metadata=_echo(
             "scan-cavity",
             CAVITY_DEFAULTS,
@@ -320,11 +325,13 @@ def scan_n(table: dict) -> ScanTable:
     _require(0 <= n_max_exp <= 60, "n_max_exp", n_max_exp, "expected 0..60")
     selfpol = config_choice(table, "selfpol", ("collective", "local"))
     n_values = 2 ** np.arange(n_max_exp + 1)
-    deltas = discrimination(system.emitter(xi), system.mode(omega_k), n_values, selfpol)
+    deltas = _checked(
+        lambda: discrimination(system.emitter(xi), system.mode(omega_k), n_values, selfpol)
+    )
     unstable = np.isnan(deltas.delta_e_vac)
     d_up, d_low, d_evac = (np.where(unstable, 0.0, d) for d in deltas)
     slopes = _loglog_slopes(n_values, d_evac, ~unstable & (d_evac != 0.0))
-    rows = np.stack([n_values, d_up, d_low, d_evac, slopes, unstable], axis=-1).tolist()
+    rows = np.stack([n_values, d_up, d_low, d_evac, slopes, unstable], axis=-1)
 
     return ScanTable(
         column_names=(
@@ -372,7 +379,8 @@ def scan_dispersion(table: dict) -> ScanTable:
         "k_par_points",
     )
     base = system.mode(SPEED_OF_LIGHT_AU * system.k_z)
-    core = tc_dispersion_scan(system.emitter(xi), base, k_pars, n_emitters)
+    # a k_par/k_z above ~1e16 rounds the incidence angle to pi/2
+    core = _checked(lambda: tc_dispersion_scan(system.emitter(xi), base, k_pars, n_emitters))
 
     return ScanTable(
         column_names=core.column_names,
@@ -440,10 +448,8 @@ def run_oracle_suite(table: dict) -> ScanTable:
     tol = config_float(table, "tol")
     check_convergence = config_bool(table, "check_convergence")
     seed = config_int(table, "seed")
-    try:
-        fock_config = FockConfig(cutoff=cutoff, tol=fock_tol)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    _require(seed >= 0, "seed", seed, "must be nonnegative")
+    fock_config = _checked(lambda: FockConfig(cutoff=cutoff, tol=fock_tol))
 
     rng = np.random.default_rng(seed)
     max_ratio = _max_gap_ratio(cutoff)

@@ -8,49 +8,50 @@ OverflowError; NaN is allowed (it marks a check that did not run).
 """
 
 import io
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 def format_number(value: float) -> str:
     return f"{value:.17g}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScanTable:
+    """One float64 array of rows x columns; `rows` may be any 2-D sequence."""
+
     column_names: tuple
-    rows: tuple
+    rows: np.ndarray
     metadata: tuple  # ordered (key, value-string) pairs
     failure: str = ""  # why the run's own check failed; not part of the CSV
 
     def __post_init__(self):
+        width = len(self.column_names)
+        try:
+            rows = np.asarray(self.rows, dtype=float).reshape(len(self.rows), width)
+        except ValueError as err:
+            raise ValueError(f"ragged rows: expected {width} columns each") from err
+        infinite = np.isinf(rows)
+        if infinite.any():
+            column = self.column_names[np.argwhere(infinite)[0, 1]]
+            raise OverflowError(f"column '{column}' is infinite")
         object.__setattr__(self, "column_names", tuple(self.column_names))
-        object.__setattr__(
-            self, "rows", tuple(tuple(float(v) for v in row) for row in self.rows)
-        )
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(
             self, "metadata", tuple((str(k), str(v)) for k, v in self.metadata)
         )
-        width = len(self.column_names)
-        for row in self.rows:
-            if len(row) != width:
-                raise ValueError(
-                    f"ragged row: expected {width} columns, got {len(row)}"
-                )
-            if math.inf in row or -math.inf in row:
-                column = self.column_names[[abs(v) for v in row].index(math.inf)]
-                raise OverflowError(f"column '{column}' is infinite")
 
     def column(self, name: str) -> list:
-        idx = self.column_names.index(name)
-        return [row[idx] for row in self.rows]
+        return self.rows[:, self.column_names.index(name)].tolist()
 
     def write(self, stream) -> None:
         for key, value in self.metadata:
             stream.write(f"# {key} = {value}\n")
         stream.write(",".join(self.column_names) + "\n")
-        for row in self.rows:
-            stream.write(",".join(format_number(v) for v in row) + "\n")
+        # one %-format over every cell: "%.17g" % x is f"{x:.17g}" (format_number)
+        line = ",".join(["%.17g"] * len(self.column_names)) + "\n"
+        stream.write(line * len(self.rows) % tuple(self.rows.ravel().tolist()))
 
     def to_csv(self) -> str:
         buf = io.StringIO()

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .couplings import DerivedCouplings
+from .couplings import DerivedCouplings, elementwise
 from .emitters import Emitter, chiral_tdm_vector
-from .fields import CavityMode, oblique_mode, standing_wave_polarization_oblique
+from .fields import CavityMode, oblique_mode
 from .scantable import ScanTable
 
 
@@ -33,13 +33,18 @@ class TCSpectrum:
             raise ValueError("polariton_upper must be >= polariton_lower")
 
 
-def _bright_doublet(omega_m: float, omega_cavity: float, coupling: float):
-    if coupling == 0.0:  # decoupled: exact bare energies, no roundoff
-        return max(omega_m, omega_cavity), min(omega_m, omega_cavity)
-    mean = 0.5 * (omega_m + omega_cavity)
-    detuning = omega_m - omega_cavity
+def _bright_doublet(omega_m, omega_cavity, coupling):
+    """Eigenvalues (upper, lower) of [[omega_m, G], [G, omega_cavity]], entry by
+    entry; a decoupled entry (G = 0) is exactly the bare pair, with no roundoff
+    and no overflow from the formula it does not use."""
+    decoupled = np.equal(coupling, 0.0)
+    w_m, w_c = (np.where(decoupled, 0.0, w) for w in (omega_m, omega_cavity))
+    mean = 0.5 * (w_m + w_c)
+    detuning = w_m - w_c
     split = np.sqrt(0.25 * detuning * detuning + coupling * coupling)
-    return float(mean + split), float(mean - split)
+    upper = np.where(decoupled, np.maximum(omega_m, omega_cavity), mean + split)
+    lower = np.where(decoupled, np.minimum(omega_m, omega_cavity), mean - split)
+    return upper, lower
 
 
 def single_excitation_spectrum(
@@ -58,14 +63,15 @@ def single_excitation_spectrum(
     )
     upper, lower = _bright_doublet(omega_m, c.omega_k_bar, coupling)
     return TCSpectrum(
-        polariton_upper=upper,
-        polariton_lower=lower,
+        polariton_upper=float(upper),
+        polariton_lower=float(lower),
         dark_energy=float(omega_m),
         dark_count=n_emitters - 1,
         effective_coupling=float(coupling),
     )
 
 
+@elementwise
 def dispersion_scan(
     emitter: Emitter, mode: CavityMode, k_par_list, n_emitters: int
 ) -> ScanTable:
@@ -81,17 +87,19 @@ def dispersion_scan(
     k_par = 0 row reproduces the vertical-mode single-excitation spectrum
     for Q = 0, chi_m = 0 emitters.
     """
-    lam = mode.handedness
-    combined = emitter.mu + lam * chiral_tdm_vector(emitter)
-    rows = []
-    for k_par in k_par_list:
-        row_mode = oblique_mode(mode, float(k_par))
-        eps = standing_wave_polarization_oblique(row_mode, x=0.0)
-        # Python floats: an overflow gives inf, which ScanTable rejects, not a warning
-        coupling = math.sqrt(n_emitters) * mode.eta * math.sqrt(row_mode.omega_k / 2.0)
-        coupling *= float(abs(np.sum(eps * combined)))
-        upper, lower = _bright_doublet(emitter.omega_m, row_mode.omega_k, coupling)
-        rows.append((float(k_par), row_mode.omega_k, coupling, upper, lower))
+    k_par = np.asarray(k_par_list, dtype=float)
+    oblique = oblique_mode(mode, k_par)  # a batch of modes, one per k_par
+    # |eps . (mu + lambda m)| in real arithmetic, with the oblique polarization
+    # at x = 0, eps = (cos(theta) cos(a), -lambda sin(a), -i sin(theta) sin(a)), a = k_z z
+    theta, arg = oblique.theta_inc, mode.k_z * mode.z
+    c0, c1, c2 = emitter.mu + mode.handedness * chiral_tdm_vector(emitter)
+    contraction = np.hypot(
+        np.cos(theta) * np.cos(arg) * c0 - mode.handedness * np.sin(arg) * c1,
+        -np.sin(theta) * np.sin(arg) * c2,
+    )
+    omega = oblique.omega_k
+    coupling = math.sqrt(n_emitters) * mode.eta * np.sqrt(omega / 2.0) * contraction
+    upper, lower = _bright_doublet(emitter.omega_m, omega, coupling)
     return ScanTable(
         column_names=(
             "k_par",
@@ -100,6 +108,6 @@ def dispersion_scan(
             "polariton_upper",
             "polariton_lower",
         ),
-        rows=tuple(rows),
+        rows=np.stack([k_par, omega, coupling, upper, lower], axis=-1),
         metadata=(),
     )

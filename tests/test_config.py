@@ -2,7 +2,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from chiralpol.config import (
@@ -71,10 +71,45 @@ class TestConverters:
         assert render_value(7) == "7"
 
 
+# every finite double and NaN, with the edge cases drawn often
+HUGE = np.finfo(float).max
+cells = st.floats(allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, np.nan, 5e-324, -2.2250738585072014e-308, HUGE, -HUGE]
+)
+
+
 class TestScanTable:
     def test_rejects_ragged_rows(self):
         with pytest.raises(ValueError, match="ragged"):
             ScanTable(("a", "b"), ((1.0, 2.0), (3.0,)), ())
+        with pytest.raises(ValueError, match="ragged"):
+            ScanTable(("a", "b"), np.zeros((2, 3)), ())
+        with pytest.raises(ValueError, match="ragged"):
+            ScanTable(("a", "b"), [1.0, 2.0], ())
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_cell_names_its_column(self, value):
+        rows = np.zeros((3, 4))
+        rows[1, 2] = value
+        rows[2, 0] = value
+        with pytest.raises(OverflowError, match="column 'c' is infinite"):
+            ScanTable(("a", "b", "c", "d"), rows, ())
+
+    @seed(20241)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        width=st.integers(1, 6),
+        cells=st.lists(cells, min_size=0, max_size=60),
+    )
+    @example(width=3, cells=[-0.0, np.nan, 5e-324, HUGE, -HUGE, 1e-310])
+    def test_write_matches_per_cell_rendering(self, width, cells):
+        rows = [cells[i : i + width] for i in range(0, len(cells) - width + 1, width)]
+        names = tuple(f"c{j}" for j in range(width))
+        buf = io.StringIO()
+        ScanTable(names, rows, (("command", "demo"),)).write(buf)
+        expected = "# command = demo\n" + ",".join(names) + "\n"
+        expected += "".join(",".join(format_number(v) for v in row) + "\n" for row in rows)
+        assert buf.getvalue() == expected
 
     def test_csv_layout(self):
         table = ScanTable(

@@ -155,6 +155,14 @@ class TestExitCodes:
             ["scan-cavity", "--set", "mu=1e200,0,0"],
             ["scan-n", "--set", "eta=1e100"],
             ["scan-dispersion", "--set", "eta=1e200"],
+            # the incidence angle atan(k_par/k_z) rounds to pi/2
+            ["scan-dispersion", "--set", "k_par_max=1e300"],
+            ["scan-dispersion", "--set", "k_par_min=1e300"],
+            ["oracle", "--seed", "-1"],
+            ["oracle", "--set", "seed=-1"],
+            # omega_m^2 underflows, so omega_m_tilde^2 is 0
+            ["scan-cavity", "--set", "omega_m=1e-320"],
+            ["scan-n", "--set", "omega_m=1e-320"],
         ],
         ids=lambda argv: "_".join(a for a in argv if a != "--set"),
     )
@@ -164,6 +172,15 @@ class TestExitCodes:
         assert err.startswith("config error:") and err.count("\n") == 1
         assert "Traceback" not in err
         assert out == ""
+
+    @pytest.mark.parametrize("setting", ["omega_m=1e300", "xi=1e308", "k_z=1e300"])
+    def test_dispersion_overflow_is_one_line_without_warnings(self, setting):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(["scan-dispersion", "--set", setting])
+        assert [str(w.message) for w in caught] == []
+        assert code == 1 and out == ""
+        assert err.startswith("config error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv",

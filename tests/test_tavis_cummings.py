@@ -1,12 +1,19 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from chiralpol.couplings import DerivedCouplings, derive_couplings
-from chiralpol.emitters import Emitter
-from chiralpol.fields import SPEED_OF_LIGHT_AU, CavityMode
+from chiralpol.emitters import Emitter, chiral_tdm_vector
+from chiralpol.fields import (
+    SPEED_OF_LIGHT_AU,
+    CavityMode,
+    oblique_mode,
+    standing_wave_polarization_oblique,
+)
 from chiralpol.hopfield import polariton_frequencies
 from chiralpol.tavis_cummings import dispersion_scan, single_excitation_spectrum
 
@@ -187,3 +194,68 @@ class TestDispersionScan:
             t_blind.column("effective_coupling")
         )
         assert_allclose(ratio, 1.5, rtol=1e-12)
+
+    def test_decoupled_rows_do_not_overflow(self):
+        # the mismatched enantiomer at omega_m ~ 1e308: only the bare pair is formed
+        omega_m = 1e308
+        k_z = omega_m / SPEED_OF_LIGHT_AU
+        mode = CavityMode(1, SPEED_OF_LIGHT_AU * k_z, 1e-3, k_z)
+        emitter = Emitter.collinear(omega_m, [2.0, 0, 0], xi=-1.0)
+        table = dispersion_scan(emitter, mode, np.linspace(0, k_z, 5), n_emitters=100)
+        omega = np.array(table.column("omega_mode"))
+        assert table.column("effective_coupling") == [0.0] * 5
+        assert table.column("polariton_upper") == np.maximum(omega, omega_m).tolist()
+        assert table.column("polariton_lower") == np.minimum(omega, omega_m).tolist()
+
+    def test_rejects_a_grazing_incidence_angle(self):
+        emitter = Emitter.collinear(self.omega_m, [1.5, 0, 0], xi=0.2)
+        with pytest.raises(ValueError, match="theta_inc"):
+            dispersion_scan(emitter, self.mode, [0.0, 1e300], n_emitters=4)
+        with pytest.raises(ValueError, match="k_par must be nonnegative"):
+            dispersion_scan(emitter, self.mode, [-1e-4], n_emitters=4)
+
+
+def reference_dispersion_rows(emitter, mode, k_pars, n_emitters):
+    """One scalar oblique mode and complex polarization per k_par."""
+    combined = emitter.mu + mode.handedness * chiral_tdm_vector(emitter)
+    rows = []
+    for k_par in k_pars:
+        row_mode = oblique_mode(mode, float(k_par))
+        eps = standing_wave_polarization_oblique(row_mode, x=0.0)
+        coupling = math.sqrt(n_emitters) * mode.eta * math.sqrt(row_mode.omega_k / 2.0)
+        coupling *= float(abs(np.sum(eps * combined)))
+        omega_m, omega = emitter.omega_m, row_mode.omega_k
+        if coupling == 0.0:
+            upper, lower = max(omega_m, omega), min(omega_m, omega)
+        else:
+            detuning = omega_m - omega
+            split = np.sqrt(0.25 * detuning * detuning + coupling * coupling)
+            upper, lower = 0.5 * (omega_m + omega) + split, 0.5 * (omega_m + omega) - split
+        rows.append((k_par, omega, coupling, upper, lower))
+    return np.array(rows, dtype=float)
+
+
+class TestDispersionBatch:
+    @seed(20242)
+    @settings(max_examples=120, deadline=None, database=None)
+    @given(
+        z=st.floats(0.0, 1e4),
+        roll_delta=st.floats(0.0, 6.28),
+        mu=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+        xi=st.just(-1.0) | st.floats(-1.5, 1.5),
+        lam=st.sampled_from([1, -1]),
+        k_par_max=st.floats(0.0, 0.01),
+        n_emitters=st.sampled_from([1, 7, 100, 10**6]),
+    )
+    def test_batch_is_bitwise_the_per_k_par_reference(
+        self, z, roll_delta, mu, xi, lam, k_par_max, n_emitters
+    ):
+        if np.linalg.norm(mu) < 0.1:  # the roll needs an axis
+            mu = [1.0, 0.0, 0.0]
+        emitter = Emitter(0.1, mu, xi_scale=xi, roll_delta=roll_delta)
+        k_z = 0.1 / SPEED_OF_LIGHT_AU
+        mode = CavityMode(lam, SPEED_OF_LIGHT_AU * k_z, 1e-3, k_z, z=z)
+        k_pars = np.linspace(0.0, k_par_max, 41)
+        table = dispersion_scan(emitter, mode, k_pars, n_emitters)
+        expected = reference_dispersion_rows(emitter, mode, k_pars, n_emitters)
+        assert table.rows.view(np.int64).tolist() == expected.view(np.int64).tolist()
