@@ -78,7 +78,9 @@ def main(argv=None) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return 1
     except OverflowError as err:
-        print(f"config error: numeric overflow ({err})", file=sys.stderr)
+        # the package's own overflows say where; Python's float ** does not
+        detail = err if "numeric overflow" in str(err) else f"numeric overflow ({err})"
+        print(f"config error: {detail}", file=sys.stderr)
         return 1
 
     if args.out:

@@ -23,28 +23,36 @@ class InstabilityError(Exception):
 
     def __init__(self, message: str, value: float):
         super().__init__(f"{message} (offending value {value:.6e})")
+        self.message = message
         self.value = value
+
+    def __reduce__(self):
+        # rebuilt from both arguments, so that pickling (say, from a worker
+        # process) round-trips the type, the message and the value
+        return type(self), (self.message, self.value)
 
 
 class MagneticInstabilityError(InstabilityError):
     """Self-magnetization drove the dressed photon frequency squared negative."""
 
 
-def _overflow(kind, flag):
-    raise OverflowError(f"numeric {kind}")
-
-
 def elementwise(func):
     """Evaluate func's NumPy arrays under the package's floating-point policy.
 
-    An overflow raises OverflowError, as Python's float ** does. Entries that
-    fail a stability check are computed on and then masked, so invalid
-    operations and divisions by zero there stay silent.
+    An overflow raises OverflowError, as Python's float ** does, with a
+    message that names the innermost such stage ("numeric overflow in
+    tavis_cummings.dispersion_scan"). Entries that fail a stability check are
+    computed on and then masked, so invalid operations and divisions by zero
+    there stay silent.
     """
+    stage = f"{func.__module__.rsplit('.', 1)[-1]}.{func.__qualname__}"
+
+    def overflow(kind, flag):
+        raise OverflowError(f"numeric {kind} in {stage}")
 
     @functools.wraps(func)
     def inner(*args, **kwargs):
-        with np.errstate(over="call", call=_overflow, invalid="ignore", divide="ignore"):
+        with np.errstate(over="call", call=overflow, invalid="ignore", divide="ignore"):
             return func(*args, **kwargs)
 
     return inner

@@ -8,10 +8,18 @@ ordered by n, then m, is a band of half-width about cutoff/2 in a real gauge,
 and LAPACK's band solver gives its lowest levels (two 841-dimensional sectors
 at the default cutoff 40). The faithful complex Hermitian matrix remains the
 contract of build_fock_hamiltonian, and the equivalence is tested.
+
+low_levels and oracle_check take one parameter set or a sequence of them.
+The sector solves of a call are independent and hold the GIL, so they run in
+one pool of forked worker processes, one per CPU; ladder fits and reports
+stay in the calling process.
 """
 
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.linalg import eig_banded
@@ -98,16 +106,38 @@ def _sector_band(c: DerivedCouplings, cutoff: int, parity: int) -> np.ndarray:
     return band
 
 
-def low_levels(c: DerivedCouplings, cutoff: int, count: int = 48) -> np.ndarray:
-    """Lowest eigenvalues of the truncated Hamiltonian, ascending."""
-    levels = []
-    for parity in (0, 1):
-        band = _sector_band(c, cutoff, parity)
-        last = min(count, band.shape[1]) - 1
-        levels.append(
-            eig_banded(band, lower=True, eigvals_only=True, select="i", select_range=(0, last))
-        )
-    return np.sort(np.concatenate(levels))[:count]
+def _sector_levels(c: DerivedCouplings, cutoff: int, parity: int, count: int) -> np.ndarray:
+    """The lowest `count` levels of one parity sector, ascending (all of them
+    when the sector is smaller)."""
+    band = _sector_band(c, cutoff, parity)
+    last = min(count, band.shape[1]) - 1
+    return eig_banded(band, lower=True, eigvals_only=True, select="i", select_range=(0, last))
+
+
+def low_levels(
+    c: DerivedCouplings | Sequence[DerivedCouplings], cutoff: int, count: int = 48
+) -> np.ndarray:
+    """Lowest eigenvalues of the truncated Hamiltonian, ascending: one array
+    for one set, one row per set for a sequence of sets.
+
+    Each (set, parity) sector is one task. With more than one CPU the tasks
+    go in contiguous chunks to a pool of forked workers that lives for this
+    call only.
+    """
+    sets = [c] if isinstance(c, DerivedCouplings) else list(c)
+    tasks = [(s, cutoff, parity, count) for s in sets for parity in (0, 1)]
+    workers = min(len(os.sched_getaffinity(0)), len(tasks))
+    if workers == 1:
+        sectors = list(map(_sector_levels, *zip(*tasks)))
+    else:
+        # fork, not the platform default: a forkserver or spawn worker would
+        # import numpy and scipy again (~0.6 s) before its first solve
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            chunk = -(-len(tasks) // workers)
+            sectors = list(pool.map(_sector_levels, *zip(*tasks), chunksize=chunk))
+    levels = np.sort(np.concatenate([sectors[0::2], sectors[1::2]], axis=1))[:, :count]
+    return levels[0] if isinstance(c, DerivedCouplings) else levels
 
 
 def _lattice(om_minus: float, om_plus: float, limit: float, count: int) -> np.ndarray:
@@ -244,11 +274,13 @@ class OracleReport:
 
 
 def oracle_check(
-    c: DerivedCouplings,
+    c: DerivedCouplings | Sequence[DerivedCouplings],
     config: FockConfig = FockConfig(),
     check_convergence: bool = True,
-) -> OracleReport:
-    """Diagonalize, read off the gaps, and compare against the analytic values.
+) -> OracleReport | list[OracleReport]:
+    """Diagonalize, read off the gaps, and compare against the analytic values:
+    one report for one set, a list in set order for a sequence of sets, with
+    one low_levels call per cutoff for all of them.
 
     E0 is compared against the vacuum energy (Omega+ + Omega-)/2, whose
     enantiomer difference is the discriminating Delta E_vac. With
@@ -256,41 +288,50 @@ def oracle_check(
     `converged` records whether the deviations stopped growing (down to the
     tol floor); both gap values are reported either way.
     """
-    analytic_plus, analytic_minus = hopfield.polariton_frequencies(c)
+    sets = [c] if isinstance(c, DerivedCouplings) else list(c)
+    analytic = [hopfield.polariton_frequencies(s) for s in sets]
 
     def gaps_at(cutoff: int):
-        levels = low_levels(c, cutoff)
-        fit = fit_ladder(levels, config.tol)
-        dev_plus = abs(fit.omega_plus - analytic_plus) / analytic_plus
-        dev_minus = abs(fit.omega_minus - analytic_minus) / max(
-            analytic_minus, 1e-300
-        )
-        return levels, fit, dev_plus, dev_minus
+        gaps = []
+        for levels, (analytic_plus, analytic_minus) in zip(low_levels(sets, cutoff), analytic):
+            fit = fit_ladder(levels, config.tol)
+            dev_plus = abs(fit.omega_plus - analytic_plus) / analytic_plus
+            dev_minus = abs(fit.omega_minus - analytic_minus) / max(
+                analytic_minus, 1e-300
+            )
+            gaps.append((levels, fit, dev_plus, dev_minus))
+        return gaps
 
-    levels, fit, dev_plus, dev_minus = gaps_at(config.cutoff)
-    e_vac = 0.5 * (analytic_plus + analytic_minus)
-    report = dict(
-        omega_plus=fit.omega_plus,
-        omega_minus=fit.omega_minus,
-        e0=float(levels[0]),
-        analytic_plus=analytic_plus,
-        analytic_minus=analytic_minus,
-        deviation_plus=dev_plus,
-        deviation_minus=dev_minus,
-        e0_deviation=abs(float(levels[0]) - e_vac) / e_vac,
-        ladder_residual=fit.residual,
-        degenerate=fit.degenerate,
-        ambiguous=fit.ambiguous,
-        cutoff=config.cutoff,
-    )
-    if check_convergence:
-        _, fit2, dev2_plus, dev2_minus = gaps_at(2 * config.cutoff)
-        report.update(
-            converged=(
-                dev2_plus <= max(dev_plus, config.tol)
-                and dev2_minus <= max(dev_minus, config.tol)
-            ),
-            omega_plus_doubled=fit2.omega_plus,
-            omega_minus_doubled=fit2.omega_minus,
+    main = gaps_at(config.cutoff)
+    doubled = gaps_at(2 * config.cutoff) if check_convergence else [None] * len(sets)
+    reports = []
+    for (analytic_plus, analytic_minus), (levels, fit, dev_plus, dev_minus), gaps2 in zip(
+        analytic, main, doubled
+    ):
+        e_vac = 0.5 * (analytic_plus + analytic_minus)
+        report = dict(
+            omega_plus=fit.omega_plus,
+            omega_minus=fit.omega_minus,
+            e0=float(levels[0]),
+            analytic_plus=analytic_plus,
+            analytic_minus=analytic_minus,
+            deviation_plus=dev_plus,
+            deviation_minus=dev_minus,
+            e0_deviation=abs(float(levels[0]) - e_vac) / e_vac,
+            ladder_residual=fit.residual,
+            degenerate=fit.degenerate,
+            ambiguous=fit.ambiguous,
+            cutoff=config.cutoff,
         )
-    return OracleReport(**report)
+        if gaps2 is not None:
+            _, fit2, dev2_plus, dev2_minus = gaps2
+            report.update(
+                converged=(
+                    dev2_plus <= max(dev_plus, config.tol)
+                    and dev2_minus <= max(dev_minus, config.tol)
+                ),
+                omega_plus_doubled=fit2.omega_plus,
+                omega_minus_doubled=fit2.omega_minus,
+            )
+        reports.append(OracleReport(**report))
+    return reports[0] if isinstance(c, DerivedCouplings) else reports

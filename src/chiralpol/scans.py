@@ -453,24 +453,16 @@ def run_oracle_suite(table: dict) -> ScanTable:
 
     rng = np.random.default_rng(seed)
     max_ratio = _max_gap_ratio(cutoff)
-    rows = []
-    worst = 0.0
-    for index in range(n_sets):
-        c = sample_stable_couplings(rng, max_ratio)
-        report = oracle_check(c, fock_config, check_convergence=check_convergence)
-        worst = max(
-            worst, report.deviation_plus, report.deviation_minus, report.e0_deviation
-        )
-        rows.append(
-            (
-                float(index),
-                c.omega_k_bar,
-                c.omega_m_tilde,
-                c.g_tilde,
-                c.xi_tilde * c.handedness,
-            )
-            + report.csv_row()
-        )
+    sets = [sample_stable_couplings(rng, max_ratio) for _ in range(n_sets)]
+    reports = oracle_check(sets, fock_config, check_convergence=check_convergence)
+    worst = max(
+        0.0, *(d for r in reports for d in (r.deviation_plus, r.deviation_minus, r.e0_deviation))
+    )
+    rows = [
+        (float(index), c.omega_k_bar, c.omega_m_tilde, c.g_tilde, c.xi_tilde * c.handedness)
+        + report.csv_row()
+        for index, (c, report) in enumerate(zip(sets, reports))
+    ]
 
     return ScanTable(
         column_names=("set_index", "omega_k_bar", "omega_m_tilde", "coupling", "xi_lambda")

@@ -7,7 +7,6 @@ zero-point omega_k_bar/2 is dropped), so the N-1 dark states sit exactly at
 the bare matter frequency.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,7 +97,8 @@ def dispersion_scan(
         -np.sin(theta) * np.sin(arg) * c2,
     )
     omega = oblique.omega_k
-    coupling = math.sqrt(n_emitters) * mode.eta * np.sqrt(omega / 2.0) * contraction
+    # a NumPy product, so that an overflow raises under the policy
+    coupling = np.sqrt(n_emitters) * mode.eta * np.sqrt(omega / 2.0) * contraction
     upper, lower = _bright_doublet(emitter.omega_m, omega, coupling)
     return ScanTable(
         column_names=(

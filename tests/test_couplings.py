@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import pickle
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from numpy.testing import assert_allclose
 
 import chiralpol.couplings as couplings_module
 from chiralpol.couplings import (
+    InstabilityError,
     MagneticInstabilityError,
     derive_couplings,
     dressed_matter_frequency,
@@ -16,6 +18,7 @@ from chiralpol.couplings import (
 )
 from chiralpol.emitters import Emitter
 from chiralpol.fields import CavityMode, standing_wave_polarization
+from chiralpol.hopfield import PolaritonInstabilityError
 
 
 def make_mode(lam=1, omega=0.1, eta=0.001, k_z=None, z=0.0):
@@ -175,3 +178,15 @@ def test_module_is_c_free():
     source = inspect.getsource(couplings_module)
     assert "SPEED_OF_LIGHT" not in source
     assert "137.03" not in source
+
+
+@pytest.mark.parametrize(
+    "error", [InstabilityError, MagneticInstabilityError, PolaritonInstabilityError]
+)
+def test_instability_errors_survive_pickling(error):
+    # an error raised in a worker process reaches the caller unchanged
+    original = error("Omega- squared is negative", -1.5)
+    copy = pickle.loads(pickle.dumps(original))
+    assert type(copy) is error
+    assert str(copy) == str(original)
+    assert copy.value == -1.5

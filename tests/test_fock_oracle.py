@@ -1,11 +1,15 @@
 import dataclasses
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.linalg import LinAlgError
 
+from chiralpol import fock_oracle
 from chiralpol.couplings import DerivedCouplings
 from chiralpol.fock_oracle import (
     FockConfig,
@@ -16,7 +20,7 @@ from chiralpol.fock_oracle import (
     oracle_check,
 )
 from chiralpol.hopfield import polariton_frequencies
-from chiralpol.scans import sample_stable_couplings
+from chiralpol.scans import ORACLE_DEFAULTS, run_oracle_suite, sample_stable_couplings
 
 
 def couplings(w_photon=1.0, w_matter=1.0, g=0.1, xi=0.0, lam=1):
@@ -260,3 +264,77 @@ class TestSoftModeSuite:
             worst = max(report.deviation_plus, report.deviation_minus, report.e0_deviation)
             assert worst <= 1e-7, (upper / lower, worst)
             checked += 1
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """cpus(n) makes low_levels see n CPUs; the list holds the worker count
+    of each pool it starts."""
+    started = []
+
+    class CountedPool(fock_oracle.ProcessPoolExecutor):
+        def __init__(self, workers, **kwargs):
+            started.append(workers)
+            super().__init__(workers, **kwargs)
+
+    monkeypatch.setattr(fock_oracle, "ProcessPoolExecutor", CountedPool)
+
+    def cpus(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+        return started
+
+    return cpus
+
+
+class TestWorkerPool:
+    @pytest.mark.parametrize("cutoff", [4, 40])  # sectors of 13 and 12 states at 4
+    def test_pooled_levels_are_the_in_process_levels_bitwise(self, pools, cutoff):
+        rng = np.random.default_rng(13)
+        sets = [sample_stable_couplings(rng) for _ in range(3)]
+        started = pools(1)
+        alone = low_levels(sets, cutoff)
+        assert started == []
+        pools(2)
+        pooled = low_levels(sets, cutoff)
+        assert started == [2]
+        assert pooled.shape == (3, min(48, (cutoff + 1) ** 2))
+        assert np.array_equal(pooled, alone)
+
+    def test_a_pool_has_no_more_workers_than_tasks(self, pools):
+        started = pools(8)
+        low_levels(couplings(g=0.1, xi=0.3), 6)
+        assert started == [2]  # one set: two parity sectors
+
+    def test_batch_equals_its_sets_one_by_one(self):
+        rng = np.random.default_rng(5)
+        sets = [sample_stable_couplings(rng) for _ in range(4)]
+        config = FockConfig(cutoff=12)
+        batch = low_levels(sets, 12, count=20)
+        for c, row in zip(sets, batch):
+            assert np.array_equal(row, low_levels(c, 12, count=20))
+        reports = oracle_check(sets, config, check_convergence=True)
+        assert reports == [oracle_check(c, config, check_convergence=True) for c in sets]
+
+    def test_no_worker_outlives_an_oracle_suite(self, pools):
+        started = pools(2)
+        table = run_oracle_suite(
+            {**ORACLE_DEFAULTS, "oracle_sets": "3", "fock_cutoff": "12"}
+        )
+        assert len(table.rows) == 3
+        assert started == [2]
+        assert multiprocessing.active_children() == []
+
+    def test_worker_error_reaches_the_caller_and_no_worker_outlives_it(
+        self, pools, monkeypatch
+    ):
+        def failing(*args, **kwargs):
+            raise LinAlgError("band solver failed")
+
+        monkeypatch.setattr(fock_oracle, "eig_banded", failing)
+        started = pools(2)
+        rng = np.random.default_rng(3)
+        sets = [sample_stable_couplings(rng) for _ in range(3)]
+        with pytest.raises(LinAlgError, match="band solver failed"):
+            oracle_check(sets, FockConfig(cutoff=8), check_convergence=False)
+        assert started == [2]
+        assert multiprocessing.active_children() == []

@@ -69,6 +69,27 @@ def test_benchmark_smoke_run_is_correct():
     assert summary["attempted"] > 0
 
 
+def test_benchmark_oracle_smoke_run_is_correct():
+    # the oracle's sector solves run in worker processes while the tracer's
+    # rebound names, which cannot be pickled, stay in the calling process
+    result = subprocess.run(
+        [
+            sys.executable, "perfbench/run.py", "--workload", "oracle-suite",
+            "--seed", "1", "--seconds", "1", "--trace", "1", "--smoke",
+        ],
+        cwd=REPO,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    summary = json.loads(result.stdout.strip().splitlines()[-1])
+    assert summary["correct"] is True
+    assert summary["failed"] == 0
+    assert summary["metrics"]["fock_oracle.low_levels.c40.calls"]["value"] > 0
+    assert summary["metrics"]["fock_oracle.fit_ladder.calls"]["value"] > 0
+
+
 @pytest.fixture
 def stage_calls(monkeypatch):
     """Counts calls of the solver stages the scans go through."""
