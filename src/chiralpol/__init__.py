@@ -8,8 +8,6 @@ from .couplings import (
     MagneticInstabilityError,
     MonteCarloEstimate,
     derive_couplings,
-    dressed_matter_frequency,
-    dressed_photon_frequency,
     orientation_averaged_coupling_sq,
     sample_orientation_coupling,
 )

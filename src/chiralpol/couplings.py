@@ -160,39 +160,6 @@ def _matter_frequency(omega_m, mu_proj, mode: CavityMode, factor):
 
 
 @elementwise
-def dressed_photon_frequency(chi_m, mode: CavityMode, n_emitters: int) -> float:
-    """Photon frequency dressed by the parametric self-magnetization.
-
-    omega_k_bar^2 = omega_k^2 + 2 N k_z^2 eta^2 (eps' chi_m eps); raises
-    MagneticInstabilityError carrying the chi_m contraction if the square
-    turns nonpositive.
-    """
-    chi = np.asarray(chi_m, dtype=float)
-    if chi.shape != (3, 3):
-        raise ValueError(f"chi_m must be a 3x3 matrix, got shape {chi.shape}")
-    if np.linalg.norm(chi - chi.T) > 1e-12:
-        raise ValueError("chi_m must be symmetric")
-    eps = standing_wave_polarization(mode)
-    return scalar_or_array(_photon_frequency(float(eps @ chi @ eps), mode, n_emitters))
-
-
-@elementwise
-def dressed_matter_frequency(
-    emitter: Emitter, mode: CavityMode, n_emitters: int, collective: bool = True
-) -> float:
-    """Matter frequency dressed by the self-polarization term.
-
-    Collective form omega_m_tilde^2 = omega_m^2 + 2 N omega_m eta^2 (eps.mu)^2.
-    With collective=False the factor N is dropped (local self-polarization
-    only, the alternative model in which intermolecular contributions are
-    assumed to cancel). Always >= omega_m: a sum of squares.
-    """
-    mu_proj = float(emitter.mu @ standing_wave_polarization(mode))
-    factor = n_emitters if collective else 1
-    return scalar_or_array(_matter_frequency(emitter.omega_m, mu_proj, mode, factor))
-
-
-@elementwise
 def derive_couplings(
     emitter: Emitter,
     mode: CavityMode,
@@ -277,13 +244,12 @@ def derive_couplings(
 def _coupling_sq_prefactor(emitter: Emitter, mode: CavityMode, n_emitters: int) -> float:
     # hbar*omega_m_tilde*omega_k^2 / (2*eps0*V*omega_k_bar*omega_m) with
     # 1/(eps0*V) = eta^2; dressed frequencies at the reference orientation.
-    omega_k_bar = dressed_photon_frequency(emitter.chi_m, mode, n_emitters)
-    omega_m_tilde = dressed_matter_frequency(emitter, mode, n_emitters)
+    c = derive_couplings(emitter, mode, n_emitters)
     return (
         mode.eta**2
-        * omega_m_tilde
+        * c.omega_m_tilde
         * mode.omega_k**2
-        / (2.0 * omega_k_bar * emitter.omega_m)
+        / (2.0 * c.omega_k_bar * emitter.omega_m)
     )
 
 

@@ -12,7 +12,8 @@ contract of build_fock_hamiltonian, and the equivalence is tested.
 low_levels and oracle_check take one parameter set or a sequence of them.
 The sector solves of a call are independent and hold the GIL, so they run in
 one pool of forked worker processes, one per CPU; ladder fits and reports
-stay in the calling process.
+stay in the calling process. A report is a plain record: the oracle CSV and
+its columns belong to `scans.run_oracle_suite`.
 """
 
 import multiprocessing
@@ -240,37 +241,6 @@ class OracleReport:
     converged: Optional[bool] = None
     omega_plus_doubled: Optional[float] = None
     omega_minus_doubled: Optional[float] = None
-
-    CSV_COLUMNS = (
-        "oracle_plus",
-        "oracle_minus",
-        "e0",
-        "analytic_plus",
-        "analytic_minus",
-        "dev_plus",
-        "dev_minus",
-        "e0_dev",
-        "ladder_residual",
-        "degenerate",
-        "ambiguous",
-        "converged",
-    )
-
-    def csv_row(self) -> tuple:
-        return (
-            self.omega_plus,
-            self.omega_minus,
-            self.e0,
-            self.analytic_plus,
-            self.analytic_minus,
-            self.deviation_plus,
-            self.deviation_minus,
-            self.e0_deviation,
-            self.ladder_residual,
-            float(self.degenerate),
-            float(self.ambiguous),
-            float("nan") if self.converged is None else float(self.converged),
-        )
 
 
 def oracle_check(

@@ -1,10 +1,11 @@
 """Deterministic parameter scans over the analytic solvers, as CSV tables.
 
 Each scan consumes a flat string config table (defaults overlaid by config
-file and --set pairs, see `config`), resolves `auto` values, and echoes the
-full effective configuration into the table metadata so the CSV header
-reproduces the run. Instabilities become rows flagged unstable=1 with
-zeroed value columns rather than aborting the scan.
+file and --set pairs, see `config`). A scan runner parses every key once,
+`auto` values resolved, into one dict of typed values, and the table
+metadata echoes that dict, so the CSV header reproduces the run; the oracle
+echoes its string table as given. Instabilities become rows flagged
+unstable=1 with zeroed value columns rather than aborting the scan.
 
 Default system values: the fundamental coupling eta = 0.001 and the
 chirality estimate xi = 3.712e-5 for the ensemble-size scan are the
@@ -13,7 +14,6 @@ placeholder dye-like values (the source work cites these to external data
 without printing them) and can be overridden per run.
 """
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -27,10 +27,10 @@ from .config import (
     config_int,
     render_value,
 )
-from .couplings import DerivedCouplings, derive_couplings
+from .couplings import DerivedCouplings, derive_couplings, elementwise
 from .emitters import Emitter, chiral_tdm_vector
 from .fields import SPEED_OF_LIGHT_AU, CavityMode
-from .fock_oracle import FockConfig, OracleReport, oracle_check
+from .fock_oracle import FockConfig, oracle_check
 from .hopfield import (
     discrimination,
     polariton_frequencies,
@@ -103,42 +103,6 @@ ORACLE_DEFAULTS = {
 }
 
 
-@dataclass(frozen=True)
-class SystemConfig:
-    """Typed emitter-plus-mode block shared by all scans."""
-
-    handedness: int
-    eta: float
-    omega_m: float
-    mu: np.ndarray
-    quadrupole: np.ndarray
-    chi_m: np.ndarray
-    xi_rotation: np.ndarray
-    roll_delta: float
-    z: float
-    k_z: float
-
-    def emitter(self, xi: float) -> Emitter:
-        return Emitter(
-            omega_m=self.omega_m,
-            mu=self.mu,
-            quadrupole=self.quadrupole,
-            xi_scale=xi,
-            xi_rotation=self.xi_rotation,
-            roll_delta=self.roll_delta,
-            chi_m=self.chi_m,
-        )
-
-    def mode(self, omega_k: float) -> CavityMode:
-        return CavityMode(
-            handedness=self.handedness,
-            omega_k=omega_k,
-            eta=self.eta,
-            k_z=self.k_z,
-            z=self.z,
-        )
-
-
 def _require(ok: bool, key: str, value, requirement: str = "must be positive") -> None:
     if not ok:
         raise ConfigError(f"key '{key}': {requirement}, got {value}")
@@ -153,42 +117,81 @@ def _checked(compute: Callable):
         raise ConfigError(str(err)) from err
 
 
-def _system_from(table: dict) -> SystemConfig:
+def _auto(table: dict, key: str, value: float) -> float:
+    """value where the key reads 'auto', else the key's own number."""
+    return value if table[key] == "auto" else config_float(table, key)
+
+
+@elementwise
+def _system_from(table: dict) -> dict:
+    """The ten system keys, typed, with k_z resolved.
+
+    One reference emitter and mode run the model's own input checks
+    (omega_m > 0, orthogonal xi_rotation, a roll axis, handedness +-1, ...)
+    under the package floating-point policy, so an input that overflows
+    there is one error and no warning.
+    """
     omega_m = config_float(table, "omega_m")
-    # k_z = omega_m/c is the resonant vertical vacuum mode; it only enters
-    # through quadrupole/self-magnetization contractions and the dispersion
-    if table["k_z"] == "auto":
-        k_z = omega_m / SPEED_OF_LIGHT_AU
-    else:
-        k_z = config_float(table, "k_z")
-    system = SystemConfig(
-        handedness=config_int(table, "handedness"),
-        eta=config_float(table, "eta"),
-        omega_m=omega_m,
-        mu=config_floats(table, "mu", 3),
-        quadrupole=config_floats(table, "quadrupole", 9).reshape(3, 3),
-        chi_m=config_floats(table, "chi_m", 9).reshape(3, 3),
-        xi_rotation=config_floats(table, "xi_rotation", 9).reshape(3, 3),
-        roll_delta=config_float(table, "roll_delta"),
-        z=config_float(table, "z"),
-        k_z=k_z,
-    )
-    # one reference emitter and mode run the model's own input checks
-    # (omega_m > 0, orthogonal xi_rotation, a roll axis, handedness +-1, ...)
-    _checked(lambda: (chiral_tdm_vector(system.emitter(0.0)), system.mode(omega_m)))
+    system = {
+        "omega_m": omega_m,
+        # k_z = omega_m/c is the resonant vertical vacuum mode; it only enters
+        # through quadrupole/self-magnetization contractions and the dispersion
+        "k_z": _auto(table, "k_z", omega_m / SPEED_OF_LIGHT_AU),
+        "handedness": config_int(table, "handedness"),
+        "eta": config_float(table, "eta"),
+        "mu": config_floats(table, "mu", 3),
+        "quadrupole": config_floats(table, "quadrupole", 9).reshape(3, 3),
+        "chi_m": config_floats(table, "chi_m", 9).reshape(3, 3),
+        "xi_rotation": config_floats(table, "xi_rotation", 9).reshape(3, 3),
+        "roll_delta": config_float(table, "roll_delta"),
+        "z": config_float(table, "z"),
+    }
+    _checked(lambda: (chiral_tdm_vector(_emitter(system, 0.0)), _mode(system, omega_m)))
     return system
+
+
+def _emitter(values: dict, xi: float) -> Emitter:
+    """The configured emitter at chirality scale xi."""
+    return Emitter(
+        omega_m=values["omega_m"],
+        mu=values["mu"],
+        quadrupole=values["quadrupole"],
+        xi_scale=xi,
+        xi_rotation=values["xi_rotation"],
+        roll_delta=values["roll_delta"],
+        chi_m=values["chi_m"],
+    )
+
+
+def _mode(values: dict, omega_k) -> CavityMode:
+    """The configured cavity mode at frequency omega_k (a number or an array)."""
+    return CavityMode(
+        handedness=values["handedness"],
+        omega_k=omega_k,
+        eta=values["eta"],
+        k_z=values["k_z"],
+        z=values["z"],
+    )
+
+
+def _n_emitters(table: dict) -> int:
+    n_emitters = config_int(table, "n_emitters")
+    _require(n_emitters >= 1, "n_emitters", n_emitters, "must be at least 1")
+    # NumPy takes N as an unsigned 64-bit integer
+    _require(n_emitters < 2**64, "n_emitters", n_emitters, "must be below 2**64")
+    return n_emitters
 
 
 def _echo(command: str, defaults: dict, values: dict) -> tuple:
     """CSV metadata: the command, then each config key in defaults order with
-    its effective value, so the header reproduces the run."""
+    its parsed value, so the header reproduces the run."""
     return (("command", command),) + tuple(
         (key, render_value(values[key])) for key in defaults
     )
 
 
-def _grid(low: float, high: float, points: int, key: str) -> np.ndarray:
-    """Evenly spaced points from low to high.
+def _grid(values: dict, axis: str) -> np.ndarray:
+    """Evenly spaced points from <axis>_min to <axis>_max, <axis>_points of them.
 
     Whenever low == -high the grid is exactly antisymmetric: the reversed
     grid is its bitwise negation, the endpoints are exactly low and high,
@@ -197,7 +200,11 @@ def _grid(low: float, high: float, points: int, key: str) -> np.ndarray:
     handedness mirror (xi, lambda) -> (-xi, -lambda) must find every
     row's partner on the same grid.
     """
+    key = f"{axis}_points"
+    low, high, points = values[f"{axis}_min"], values[f"{axis}_max"], values[key]
     _require(points >= 1, key, points, "needs at least one point")
+    # NumPy's own size limit: the grid's bytes must fit a signed index
+    _require(points <= np.iinfo(np.intp).max // 8, key, points, "too many points for one array")
     if points == 1:
         return np.array([low])
     grid = np.linspace(low, high, points)
@@ -216,35 +223,25 @@ def scan_cavity(table: dict) -> ScanTable:
     xi = -omega_m*omega_k_bar/(omega_m_tilde*omega_k), slightly inside
     xi = -1.
     """
-    system = _system_from(table)
-    n_emitters = config_int(table, "n_emitters")
-    _require(n_emitters >= 1, "n_emitters", n_emitters, "must be at least 1")
-    omega_lo = (
-        0.8 * system.omega_m
-        if table["omega_k_min"] == "auto"
-        else config_float(table, "omega_k_min")
-    )
-    omega_hi = (
-        1.2 * system.omega_m
-        if table["omega_k_max"] == "auto"
-        else config_float(table, "omega_k_max")
-    )
-    _require(omega_lo > 0, "omega_k_min", omega_lo)
-    _require(omega_hi > 0, "omega_k_max", omega_hi)
-    omegas = _grid(omega_lo, omega_hi, config_int(table, "omega_k_points"), "omega_k_points")
-    xis = _grid(
-        config_float(table, "xi_min"),
-        config_float(table, "xi_max"),
-        config_int(table, "xi_points"),
-        "xi_points",
-    )
+    values = _system_from(table)
+    n_emitters = values["n_emitters"] = _n_emitters(table)
+    values["omega_k_min"] = _auto(table, "omega_k_min", 0.8 * values["omega_m"])
+    values["omega_k_max"] = _auto(table, "omega_k_max", 1.2 * values["omega_m"])
+    for key in ("omega_k_min", "omega_k_max"):
+        _require(values[key] > 0, key, values[key])
+    values["omega_k_points"] = config_int(table, "omega_k_points")
+    omegas = _grid(values, "omega_k")
+    values["xi_min"] = config_float(table, "xi_min")
+    values["xi_max"] = config_float(table, "xi_max")
+    values["xi_points"] = config_int(table, "xi_points")
+    xis = _grid(values, "xi")
 
     # one batch over the grid: omega_k down the rows, xi along them
-    emitters = [system.emitter(float(xi)) for xi in xis]
-    c = _checked(lambda: derive_couplings(emitters, system.mode(omegas[:, None]), n_emitters))
+    emitters = [_emitter(values, float(xi)) for xi in xis]
+    c = _checked(lambda: derive_couplings(emitters, _mode(values, omegas[:, None]), n_emitters))
     sol = solve_polaritons(c)
     unstable = np.isnan(sol.omega_plus)
-    values = (
+    results = (
         c.omega_k_bar,
         c.omega_m_tilde,
         sol.omega_plus,
@@ -256,7 +253,7 @@ def scan_cavity(table: dict) -> ScanTable:
         sol.e_vac,
     )
     columns = np.broadcast_arrays(
-        omegas[:, None], xis, *(np.where(unstable, 0.0, v) for v in values), unstable
+        omegas[:, None], xis, *(np.where(unstable, 0.0, v) for v in results), unstable
     )
     rows = np.stack([column.ravel() for column in columns], axis=-1)
 
@@ -276,20 +273,7 @@ def scan_cavity(table: dict) -> ScanTable:
             "unstable",
         ),
         rows=rows,
-        metadata=_echo(
-            "scan-cavity",
-            CAVITY_DEFAULTS,
-            {
-                **vars(system),
-                "n_emitters": n_emitters,
-                "omega_k_min": omega_lo,
-                "omega_k_max": omega_hi,
-                "omega_k_points": len(omegas),
-                "xi_min": xis[0],
-                "xi_max": xis[-1],
-                "xi_points": len(xis),
-            },
-        ),
+        metadata=_echo("scan-cavity", CAVITY_DEFAULTS, values),
     )
 
 
@@ -313,20 +297,16 @@ def scan_n(table: dict) -> ScanTable:
     everything else. selfpol='local' switches to the cancelling-
     intermolecular variant whose lower branch goes unstable at a finite N.
     """
-    system = _system_from(table)
-    xi = config_float(table, "xi")
-    omega_k = (
-        system.omega_m
-        if table["omega_k"] == "auto"
-        else config_float(table, "omega_k")
-    )
+    values = _system_from(table)
+    xi = values["xi"] = config_float(table, "xi")
+    omega_k = values["omega_k"] = _auto(table, "omega_k", values["omega_m"])
     _require(omega_k > 0, "omega_k", omega_k)
-    n_max_exp = config_int(table, "n_max_exp")
+    n_max_exp = values["n_max_exp"] = config_int(table, "n_max_exp")
     _require(0 <= n_max_exp <= 60, "n_max_exp", n_max_exp, "expected 0..60")
-    selfpol = config_choice(table, "selfpol", ("collective", "local"))
+    selfpol = values["selfpol"] = config_choice(table, "selfpol", ("collective", "local"))
     n_values = 2 ** np.arange(n_max_exp + 1)
     deltas = _checked(
-        lambda: discrimination(system.emitter(xi), system.mode(omega_k), n_values, selfpol)
+        lambda: discrimination(_emitter(values, xi), _mode(values, omega_k), n_values, selfpol)
     )
     unstable = np.isnan(deltas.delta_e_vac)
     d_up, d_low, d_evac = (np.where(unstable, 0.0, d) for d in deltas)
@@ -343,60 +323,31 @@ def scan_n(table: dict) -> ScanTable:
             "unstable",
         ),
         rows=rows,
-        metadata=_echo(
-            "scan-n",
-            N_SCAN_DEFAULTS,
-            {
-                **vars(system),
-                "xi": xi,
-                "omega_k": omega_k,
-                "n_max_exp": n_max_exp,
-                "selfpol": selfpol,
-            },
-        ),
+        metadata=_echo("scan-n", N_SCAN_DEFAULTS, values),
     )
 
 
 def scan_dispersion(table: dict) -> ScanTable:
     """Bright-sector Tavis-Cummings polaritons along the in-plane dispersion."""
-    system = _system_from(table)
-    _require(system.k_z > 0, "k_z", system.k_z)
-    n_emitters = config_int(table, "n_emitters")
-    _require(n_emitters >= 1, "n_emitters", n_emitters, "must be at least 1")
-    xi = config_float(table, "xi")
-    k_par_min = config_float(table, "k_par_min")
-    k_par_max = (
-        system.k_z
-        if table["k_par_max"] == "auto"
-        else config_float(table, "k_par_max")
-    )
-    _require(k_par_min >= 0, "k_par_min", k_par_min, "must be nonnegative")
-    _require(k_par_max >= 0, "k_par_max", k_par_max, "must be nonnegative")
-    k_pars = _grid(
-        k_par_min,
-        k_par_max,
-        config_int(table, "k_par_points"),
-        "k_par_points",
-    )
-    base = system.mode(SPEED_OF_LIGHT_AU * system.k_z)
+    values = _system_from(table)
+    k_z = values["k_z"]
+    _require(k_z > 0, "k_z", k_z)
+    n_emitters = values["n_emitters"] = _n_emitters(table)
+    xi = values["xi"] = config_float(table, "xi")
+    values["k_par_min"] = config_float(table, "k_par_min")
+    values["k_par_max"] = _auto(table, "k_par_max", k_z)
+    for key in ("k_par_min", "k_par_max"):
+        _require(values[key] >= 0, key, values[key], "must be nonnegative")
+    values["k_par_points"] = config_int(table, "k_par_points")
+    k_pars = _grid(values, "k_par")
+    base = _mode(values, SPEED_OF_LIGHT_AU * k_z)
     # a k_par/k_z above ~1e16 rounds the incidence angle to pi/2
-    core = _checked(lambda: tc_dispersion_scan(system.emitter(xi), base, k_pars, n_emitters))
+    core = _checked(lambda: tc_dispersion_scan(_emitter(values, xi), base, k_pars, n_emitters))
 
     return ScanTable(
         column_names=core.column_names,
         rows=core.rows,
-        metadata=_echo(
-            "scan-dispersion",
-            DISPERSION_DEFAULTS,
-            {
-                **vars(system),
-                "xi": xi,
-                "n_emitters": n_emitters,
-                "k_par_min": k_pars[0],
-                "k_par_max": k_par_max,
-                "k_par_points": len(k_pars),
-            },
-        ),
+        metadata=_echo("scan-dispersion", DISPERSION_DEFAULTS, values),
     )
 
 
@@ -459,15 +410,49 @@ def run_oracle_suite(table: dict) -> ScanTable:
         0.0, *(d for r in reports for d in (r.deviation_plus, r.deviation_minus, r.e0_deviation))
     )
     rows = [
-        (float(index), c.omega_k_bar, c.omega_m_tilde, c.g_tilde, c.xi_tilde * c.handedness)
-        + report.csv_row()
+        (
+            index,
+            c.omega_k_bar,
+            c.omega_m_tilde,
+            c.g_tilde,
+            c.xi_tilde * c.handedness,
+            report.omega_plus,
+            report.omega_minus,
+            report.e0,
+            report.analytic_plus,
+            report.analytic_minus,
+            report.deviation_plus,
+            report.deviation_minus,
+            report.e0_deviation,
+            report.ladder_residual,
+            report.degenerate,
+            report.ambiguous,
+            report.converged,  # None (NaN) without the convergence check
+        )
         for index, (c, report) in enumerate(zip(sets, reports))
     ]
 
     return ScanTable(
-        column_names=("set_index", "omega_k_bar", "omega_m_tilde", "coupling", "xi_lambda")
-        + OracleReport.CSV_COLUMNS,
-        rows=tuple(rows),
+        column_names=(
+            "set_index",
+            "omega_k_bar",
+            "omega_m_tilde",
+            "coupling",
+            "xi_lambda",
+            "oracle_plus",
+            "oracle_minus",
+            "e0",
+            "analytic_plus",
+            "analytic_minus",
+            "dev_plus",
+            "dev_minus",
+            "e0_dev",
+            "ladder_residual",
+            "degenerate",
+            "ambiguous",
+            "converged",
+        ),
+        rows=rows,
         metadata=_echo("oracle", ORACLE_DEFAULTS, table),
         failure=(
             f"oracle deviation {worst:.3e} exceeds tol {tol:.3e}" if worst > tol else ""

@@ -13,8 +13,6 @@ from chiralpol.couplings import (
     InstabilityError,
     MagneticInstabilityError,
     derive_couplings,
-    dressed_matter_frequency,
-    dressed_photon_frequency,
 )
 from chiralpol.emitters import Emitter
 from chiralpol.fields import CavityMode, standing_wave_polarization
@@ -114,35 +112,40 @@ def test_g_bar_linear_in_eta_without_self_magnetization():
 @settings(max_examples=100)
 def test_matter_dressing_only_blueshifts(n, eta, mu_x, omega_m):
     e = Emitter(omega_m=omega_m, mu=[mu_x, 0.2, 0])
-    assert dressed_matter_frequency(e, make_mode(eta=eta), n) >= omega_m
+    assert derive_couplings(e, make_mode(eta=eta), n).omega_m_tilde >= omega_m
 
 
 def test_local_dressing_drops_the_ensemble_factor():
     e = Emitter(omega_m=0.1, mu=[1.0, 0, 0])
     mode = make_mode()
-    local = dressed_matter_frequency(e, mode, 1000, collective=False)
-    single = dressed_matter_frequency(e, mode, 1, collective=True)
+    local = derive_couplings(e, mode, 1000, selfpol="local").omega_m_tilde
+    single = derive_couplings(e, mode, 1).omega_m_tilde
     assert local == single
-    assert dressed_matter_frequency(e, mode, 1000) > local
+    assert derive_couplings(e, mode, 1000).omega_m_tilde > local
 
 
 class TestDressedPhotonFrequency:
+    @staticmethod
+    def dressed(chi_m, mode, n_emitters):
+        e = Emitter(omega_m=0.1, mu=[1.0, 0, 0], chi_m=chi_m)
+        return derive_couplings(e, mode, n_emitters).omega_k_bar
+
     def test_no_self_magnetization(self):
-        assert dressed_photon_frequency(np.zeros((3, 3)), make_mode(omega=0.4), 50) == 0.4
+        assert self.dressed(np.zeros((3, 3)), make_mode(omega=0.4), 50) == 0.4
 
     def test_physical_magnitude_shift_is_tiny(self):
         # chi_m = mu^2 * identity at figure-like parameters: relative shift
         # far below 1e-3 (the k_z^2 = (omega/c)^2 factor suppresses it)
         mode = make_mode(omega=0.1, eta=1e-3)
         chi = 4.0 * np.eye(3)  # mu^2 with |mu| = 2
-        shifted = dressed_photon_frequency(chi, mode, 100)
+        shifted = self.dressed(chi, mode, 100)
         assert abs(shifted - 0.1) / 0.1 < 1e-3
 
     def test_compensated_shift_visible_but_bounded(self):
         # scaling chi_m by c^2 undoes the wavenumber suppression
         mode = make_mode(omega=0.1, eta=1e-3)
         chi = 4.0 * 137.035999**2 * np.eye(3)
-        shifted = dressed_photon_frequency(chi, mode, 100)
+        shifted = self.dressed(chi, mode, 100)
         relative = (shifted - 0.1) / 0.1
         assert 1e-6 < relative < 0.05
 
@@ -150,14 +153,14 @@ class TestDressedPhotonFrequency:
         mode = make_mode(omega=0.1, eta=1e-3)
         chi = -1e12 * np.eye(3)
         with pytest.raises(MagneticInstabilityError) as err:
-            dressed_photon_frequency(chi, mode, 100)
+            self.dressed(chi, mode, 100)
         assert err.value.value < 0
 
     def test_asymmetric_tensor_rejected(self):
         chi = np.zeros((3, 3))
         chi[0, 1] = 1.0
         with pytest.raises(ValueError, match="symmetric"):
-            dressed_photon_frequency(chi, make_mode(), 1)
+            self.dressed(chi, make_mode(), 1)
 
 
 def test_perpendicular_dipole_is_decoupled_not_an_error():

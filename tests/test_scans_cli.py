@@ -163,6 +163,12 @@ class TestExitCodes:
             # omega_m^2 underflows, so omega_m_tilde^2 is 0
             ["scan-cavity", "--set", "omega_m=1e-320"],
             ["scan-n", "--set", "omega_m=1e-320"],
+            # integers beyond what NumPy takes: N above uint64, grids above
+            # its array size limit
+            ["scan-cavity", "--set", "n_emitters=18446744073709551616"],
+            ["scan-dispersion", "--set", "n_emitters=18446744073709551616"],
+            ["scan-dispersion", "--set", "k_par_points=9223372036854775807"],
+            ["scan-cavity", "--set", "omega_k_points=100000000000000000000000"],
         ],
         ids=lambda argv: "_".join(a for a in argv if a != "--set"),
     )
@@ -184,6 +190,25 @@ class TestExitCodes:
         assert [str(w.message) for w in caught] == []
         assert code == 1 and out == ""
         assert err == "config error: numeric overflow in tavis_cummings.dispersion_scan\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan-cavity", "--set", "mu=1e160,0,0", "--set", "roll_delta=1"],
+            ["scan-n", "--set", "roll_delta=101", "--set", "mu=1e300,0,0"],
+            ["scan-dispersion", "--set", "mu=-1e308,0,0", "--set", "roll_delta=4"],
+            ["scan-cavity", "--set", "xi_rotation=1e308,0,0,0,0,0,0,0,0"],
+        ],
+        ids=lambda argv: "_".join(a for a in argv if a != "--set"),
+    )
+    def test_system_check_overflow_is_one_line_without_warnings(self, argv):
+        # the reference emitter's |mu| or U'U overflows before any scan runs
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(argv)
+        assert [str(w.message) for w in caught] == []
+        assert code == 1 and out == ""
+        assert err == "config error: numeric overflow in scans._system_from\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -310,6 +335,97 @@ class TestDeterminism:
         _, stdout_text, _ = run_cli(["scan-cavity", *SMALL_CAVITY])
         run_cli(["scan-cavity", *SMALL_CAVITY, "--out", str(out)])
         assert out.read_text() == stdout_text
+
+
+SYSTEM_HEADER = """\
+# handedness = 1
+# eta = 0.001
+# omega_m = 0.10000000000000001
+# mu = 2,0,0
+# quadrupole = 0,0,0,0,0,0,0,0,0
+# chi_m = 0,0,0,0,0,0,0,0,0
+# xi_rotation = 1,0,0,0,1,0,0,0,1
+# roll_delta = 0
+# z = 0
+# k_z = 0.00072973525737569152
+"""
+
+CAVITY_HEADER = """\
+# n_emitters = 100
+# omega_k_min = 0.080000000000000016
+# omega_k_max = 0.12
+# omega_k_points = 41
+# xi_min = -1
+# xi_max = 1
+# xi_points = {xi_points}
+omega_k,xi,omega_k_bar,omega_m_tilde,omega_plus,omega_minus,photon_frac_plus,\
+matter_frac_plus,photon_frac_minus,matter_frac_minus,e_vac,unstable
+"""
+
+
+class TestHeaders:
+    # the echo is Python float formatting of parsed keys: no BLAS or libm digits
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                ["scan-cavity"],
+                "# command = scan-cavity\n" + SYSTEM_HEADER + CAVITY_HEADER.format(xi_points=21),
+            ),
+            # a one-point grid echoes the configured xi_max, not the grid's end
+            (
+                ["scan-cavity", "--set", "xi_points=1"],
+                "# command = scan-cavity\n" + SYSTEM_HEADER + CAVITY_HEADER.format(xi_points=1),
+            ),
+            (
+                ["scan-n"],
+                "# command = scan-n\n"
+                + SYSTEM_HEADER
+                + """\
+# xi = 3.7119999999999997e-05
+# omega_k = 0.10000000000000001
+# n_max_exp = 20
+# selfpol = collective
+n,delta_omega_plus,delta_omega_minus,delta_e_vac,slope_delta_e_vac,unstable
+""",
+            ),
+            (
+                ["scan-dispersion"],
+                "# command = scan-dispersion\n"
+                + SYSTEM_HEADER
+                + """\
+# xi = 0.5
+# n_emitters = 100
+# k_par_min = 0
+# k_par_max = 0.00072973525737569152
+# k_par_points = 41
+k_par,omega_mode,effective_coupling,polariton_upper,polariton_lower
+""",
+            ),
+            (
+                ["oracle", "--set", "oracle_sets=1", "--set", "fock_cutoff=12"],
+                """\
+# command = oracle
+# oracle_sets = 1
+# fock_cutoff = 12
+# fock_tol = 1e-8
+# tol = 1e-7
+# check_convergence = 0
+# seed = 20240
+set_index,omega_k_bar,omega_m_tilde,coupling,xi_lambda,oracle_plus,oracle_minus,e0,\
+analytic_plus,analytic_minus,dev_plus,dev_minus,e0_dev,ladder_residual,degenerate,\
+ambiguous,converged
+""",
+            ),
+        ],
+        ids=["scan-cavity", "scan-cavity-xi_points=1", "scan-n", "scan-dispersion", "oracle"],
+    )
+    def test_metadata_and_column_names_are_pinned(self, argv, expected):
+        code, out, _ = run_cli(argv)
+        assert code == 0
+        lines = out.splitlines(keepends=True)
+        names = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        assert "".join(lines[: names + 1]) == expected
 
 
 class TestScanCavity:
