@@ -12,9 +12,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
-from .emitters import Emitter, chiral_tdm_vector
+from .emitters import Emitter, chiral_tdm_vector, rotate
 from .fields import CavityMode, polarization_gradient, standing_wave_polarization
 
 
@@ -36,8 +35,8 @@ class MagneticInstabilityError(InstabilityError):
     """Self-magnetization drove the dressed photon frequency squared negative."""
 
 
-def elementwise(func):
-    """Evaluate func's NumPy arrays under the package's floating-point policy.
+def float_policy(stage: str):
+    """The package's floating-point policy, as a context for NumPy arrays.
 
     An overflow raises OverflowError, as Python's float ** does, with a
     message that names the innermost such stage ("numeric overflow in
@@ -45,14 +44,21 @@ def elementwise(func):
     computed on and then masked, so invalid operations and divisions by zero
     there stay silent.
     """
-    stage = f"{func.__module__.rsplit('.', 1)[-1]}.{func.__qualname__}"
 
     def overflow(kind, flag):
         raise OverflowError(f"numeric {kind} in {stage}")
 
+    return np.errstate(over="call", call=overflow, invalid="ignore", divide="ignore")
+
+
+def elementwise(func):
+    """Evaluate func under the floating-point policy, as the stage named
+    <module>.<function>."""
+    stage = f"{func.__module__.rsplit('.', 1)[-1]}.{func.__qualname__}"
+
     @functools.wraps(func)
     def inner(*args, **kwargs):
-        with np.errstate(over="call", call=overflow, invalid="ignore", divide="ignore"):
+        with float_policy(stage):
             return func(*args, **kwargs)
 
     return inner
@@ -277,8 +283,9 @@ class MonteCarloEstimate(NamedTuple):
     stderr: float
 
 
-def _geodesic_rotations(mu_hat: np.ndarray, n_hat: np.ndarray) -> Rotation:
-    """Minimal rotations mapping mu_hat onto each row of n_hat."""
+def _geodesic_rotvecs(mu_hat: np.ndarray, n_hat: np.ndarray) -> np.ndarray:
+    """Rotation vectors of the minimal rotations mapping mu_hat onto each row
+    of n_hat."""
     axis = np.cross(mu_hat, n_hat)
     sin = np.linalg.norm(axis, axis=1)
     cos = n_hat @ mu_hat
@@ -291,7 +298,7 @@ def _geodesic_rotations(mu_hat: np.ndarray, n_hat: np.ndarray) -> Rotation:
     degen = sin < 1e-15
     safe_sin = np.where(degen, 1.0, sin)
     axis = np.where(degen[:, None], perp, axis / safe_sin[:, None])
-    return Rotation.from_rotvec(axis * angle[:, None])
+    return axis * angle[:, None]
 
 
 def sample_orientation_coupling(
@@ -327,12 +334,12 @@ def sample_orientation_coupling(
     n_hat = np.column_stack(
         (sin_theta * np.cos(phi), sin_theta * np.sin(phi), cos_theta)
     )
-    rotations = Rotation.from_rotvec(n_hat * delta[:, None]) * _geodesic_rotations(
-        mu_hat, n_hat
-    )
 
+    # each orientation: the geodesic turn of mu_hat onto n_hat, then the roll
+    # by delta about n_hat
     combined = mu + mode.handedness * emitter.xi_scale * emitter.xi_rotation @ mu
-    projections = rotations.apply(combined) @ eps
+    turned = rotate(_geodesic_rotvecs(mu_hat, n_hat), combined)
+    projections = rotate(n_hat * delta[:, None], turned) @ eps
     samples = projections**2
 
     scale = n_emitters * _coupling_sq_prefactor(emitter, mode, n_emitters)

@@ -4,7 +4,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 _ORTHOGONALITY_TOL = 1e-12
 _SYMMETRY_TOL = 1e-12
@@ -78,6 +77,21 @@ class Emitter:
         return cls(omega_m=omega_m, mu=mu, xi_scale=xi, **kwargs)
 
 
+def rotate(rotvec, v) -> np.ndarray:
+    """v turned by the rotation vector theta*k (Rodrigues' formula),
+    v cos(theta) + (k x v) sin(theta) + k (k.v)(1 - cos(theta)).
+
+    Both broadcast over leading axes, so rows of rotation vectors turn rows
+    of vectors; a zero rotation vector leaves v as it is.
+    """
+    rotvec = np.asarray(rotvec, dtype=float)
+    angle = np.linalg.norm(rotvec, axis=-1, keepdims=True)
+    axis = rotvec / np.where(angle == 0.0, 1.0, angle)
+    cos = np.cos(angle)
+    along = axis * (np.sum(axis * v, axis=-1, keepdims=True) * (1.0 - cos))
+    return v * cos + np.cross(axis, v) * np.sin(angle) + along
+
+
 def chiral_tdm_vector(emitter: Emitter) -> np.ndarray:
     """Magnetic transition moment over -i c, i.e. R_mu(delta) * s * U * mu.
 
@@ -90,8 +104,7 @@ def chiral_tdm_vector(emitter: Emitter) -> np.ndarray:
     norm = np.linalg.norm(mu)
     if norm == 0.0:
         raise ValueError("roll_delta rotation undefined for mu = 0 (no axis)")
-    roll = Rotation.from_rotvec(emitter.roll_delta * mu / norm)
-    return roll.apply(core)
+    return rotate(emitter.roll_delta * mu / norm, core)
 
 
 class ReciprocityResult(NamedTuple):

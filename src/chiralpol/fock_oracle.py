@@ -10,10 +10,16 @@ at the default cutoff 40). The faithful complex Hermitian matrix remains the
 contract of build_fock_hamiltonian, and the equivalence is tested.
 
 low_levels and oracle_check take one parameter set or a sequence of them.
-The sector solves of a call are independent and hold the GIL, so they run in
-one pool of forked worker processes, one per CPU; ladder fits and reports
-stay in the calling process. A report is a plain record: the oracle CSV and
-its columns belong to `scans.run_oracle_suite`.
+The sector solves of a call are independent and hold the GIL, so a call
+large enough to repay the fork runs them in one pool of forked worker
+processes, one per CPU; ladder fits and reports stay in the calling process.
+A report is a plain record: the oracle CSV and its columns belong to
+`scans.run_oracle_suite`.
+
+LAPACK is loaded with `scipy.linalg`, which this module reaches as an
+attribute of `scipy`: SciPy imports the submodule at the first access, which
+is the first sector solve, or the line just before a pool forks. Importing
+this module, and with it the CLI, does not import `scipy.linalg`.
 """
 
 import multiprocessing
@@ -23,13 +29,19 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import eig_banded
+import scipy
 
 from . import hopfield
 from .couplings import DerivedCouplings
 
 
 MAX_CUTOFF = 100  # the convergence re-solve at 200 keeps ~16 MB of band
+# A call whose sectors hold fewer states than this between them solves in
+# process: below it the fork and start-up of a pool (~16 ms on 2 vCPUs) cost
+# more than the solves it spreads. Measured break-even: ~1150 states for one
+# or two sets, ~1300 for five and ~1800 for twenty; one set at the default
+# cutoff 40 holds 1681 and goes to the pool.
+POOL_MIN_STATES = 1200
 
 
 @dataclass(frozen=True)
@@ -112,7 +124,9 @@ def _sector_levels(c: DerivedCouplings, cutoff: int, parity: int, count: int) ->
     when the sector is smaller)."""
     band = _sector_band(c, cutoff, parity)
     last = min(count, band.shape[1]) - 1
-    return eig_banded(band, lower=True, eigvals_only=True, select="i", select_range=(0, last))
+    return scipy.linalg.eig_banded(
+        band, lower=True, eigvals_only=True, select="i", select_range=(0, last)
+    )
 
 
 def low_levels(
@@ -121,18 +135,21 @@ def low_levels(
     """Lowest eigenvalues of the truncated Hamiltonian, ascending: one array
     for one set, one row per set for a sequence of sets.
 
-    Each (set, parity) sector is one task. With more than one CPU the tasks
-    go in contiguous chunks to a pool of forked workers that lives for this
-    call only.
+    Each (set, parity) sector is one task. With more than one CPU, and at
+    least POOL_MIN_STATES states over all sectors, the tasks go in contiguous
+    chunks to a pool of forked workers that lives for this call only.
     """
     sets = [c] if isinstance(c, DerivedCouplings) else list(c)
     tasks = [(s, cutoff, parity, count) for s in sets for parity in (0, 1)]
     workers = min(len(os.sched_getaffinity(0)), len(tasks))
-    if workers == 1:
+    if workers == 1 or len(sets) * (cutoff + 1) ** 2 < POOL_MIN_STATES:
         sectors = list(map(_sector_levels, *zip(*tasks)))
     else:
-        # fork, not the platform default: a forkserver or spawn worker would
-        # import numpy and scipy again (~0.6 s) before its first solve
+        # the attribute access imports scipy.linalg here, once, so that every
+        # worker forks with it loaded instead of importing it (~0.3 s) itself;
+        # fork, not the platform default, for the same reason: a forkserver
+        # or spawn worker would import numpy and scipy.linalg again
+        scipy.linalg
         context = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(workers, mp_context=context) as pool:
             chunk = -(-len(tasks) // workers)

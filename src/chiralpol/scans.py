@@ -27,7 +27,7 @@ from .config import (
     config_int,
     render_value,
 )
-from .couplings import DerivedCouplings, derive_couplings, elementwise
+from .couplings import DerivedCouplings, derive_couplings, elementwise, float_policy
 from .emitters import Emitter, chiral_tdm_vector
 from .fields import SPEED_OF_LIGHT_AU, CavityMode
 from .fock_oracle import FockConfig, oracle_check
@@ -122,6 +122,10 @@ def _auto(table: dict, key: str, value: float) -> float:
     return value if table[key] == "auto" else config_float(table, key)
 
 
+# the system keys whose checks the reference emitter runs, in its order
+_EMITTER_KEYS = ("xi_rotation", "quadrupole", "chi_m", "roll_delta", "mu")
+
+
 @elementwise
 def _system_from(table: dict) -> dict:
     """The ten system keys, typed, with k_z resolved.
@@ -129,7 +133,7 @@ def _system_from(table: dict) -> dict:
     One reference emitter and mode run the model's own input checks
     (omega_m > 0, orthogonal xi_rotation, a roll axis, handedness +-1, ...)
     under the package floating-point policy, so an input that overflows
-    there is one error and no warning.
+    there is one error that names its key, and no warning.
     """
     omega_m = config_float(table, "omega_m")
     system = {
@@ -146,8 +150,25 @@ def _system_from(table: dict) -> dict:
         "roll_delta": config_float(table, "roll_delta"),
         "z": config_float(table, "z"),
     }
-    _checked(lambda: (chiral_tdm_vector(_emitter(system, 0.0)), _mode(system, omega_m)))
+    try:
+        _checked(lambda: chiral_tdm_vector(_emitter(system, 0.0)))
+    except OverflowError:
+        _raise_for_overflowing_key(system)
+        raise
+    _checked(lambda: _mode(system, omega_m))
     return system
+
+
+def _raise_for_overflowing_key(system: dict) -> None:
+    """Re-run the reference emitter's checks with the keys joining a neutral
+    emitter (unit mu, no roll) one by one, in the order it checks them, each
+    under the floating-point policy named for the key: the first whose check
+    overflows raises that error."""
+    neutral = {"omega_m": system["omega_m"], "mu": np.ones(3)}
+    for key in _EMITTER_KEYS:
+        neutral[key] = system[key]
+        with float_policy(key):
+            chiral_tdm_vector(Emitter(**neutral))
 
 
 def _emitter(values: dict, xi: float) -> Emitter:

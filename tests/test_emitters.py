@@ -6,10 +6,11 @@ from numpy.testing import assert_allclose
 from scipy.spatial.transform import Rotation
 
 from chiralpol.couplings import (
+    _geodesic_rotvecs,
     orientation_averaged_coupling_sq,
     sample_orientation_coupling,
 )
-from chiralpol.emitters import Emitter, check_reciprocity, chiral_tdm_vector
+from chiralpol.emitters import Emitter, check_reciprocity, chiral_tdm_vector, rotate
 from chiralpol.fields import CavityMode
 
 
@@ -26,6 +27,53 @@ angles = st.floats(0.0, 2 * np.pi - 1e-9)
 unit_axes = st.tuples(
     st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1)
 ).filter(lambda v: np.linalg.norm(v) > 1e-3)
+
+
+def unit_rows(rng, count):
+    rows = rng.normal(size=(count, 3))
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+class TestRotate:
+    """The Rodrigues helper against SciPy's quaternion rotations, to 1e-15
+    absolute on unit vectors."""
+
+    @staticmethod
+    def assert_matches_scipy(rotvecs, vectors):
+        expected = Rotation.from_rotvec(rotvecs).apply(vectors)
+        assert np.max(np.abs(rotate(rotvecs, vectors) - expected)) <= 1e-15
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_batches(self, seed):
+        rng = np.random.default_rng(seed)
+        angles = rng.uniform(0.0, 2 * np.pi, (10_000, 1))
+        self.assert_matches_scipy(unit_rows(rng, 10_000) * angles, unit_rows(rng, 10_000))
+        # one rotation vector turning a batch of vectors, and the reverse
+        self.assert_matches_scipy(unit_rows(rng, 1)[0] * 2.5, unit_rows(rng, 100))
+        self.assert_matches_scipy(unit_rows(rng, 100) * 2.5, unit_rows(rng, 1)[0])
+
+    def test_zero_rotation_vector_is_the_identity(self):
+        vectors = unit_rows(np.random.default_rng(4), 100)
+        assert np.array_equal(rotate(np.zeros(3), vectors), vectors)
+        assert np.array_equal(rotate(np.zeros((100, 3)), vectors), vectors)
+        self.assert_matches_scipy(np.zeros((100, 3)), vectors)
+
+    def test_half_turns(self):
+        rng = np.random.default_rng(5)
+        self.assert_matches_scipy(unit_rows(rng, 1000) * np.pi, unit_rows(rng, 1000))
+        # antipodal geodesic draws turn mu_hat by pi about a perpendicular axis
+        mu_hat = unit_rows(rng, 1)[0]
+        rotvecs = _geodesic_rotvecs(mu_hat, np.tile(-mu_hat, (3, 1)))
+        assert np.all(np.linalg.norm(rotvecs, axis=1) == np.pi)
+        self.assert_matches_scipy(rotvecs, mu_hat)
+        assert_allclose(rotate(rotvecs, mu_hat), np.tile(-mu_hat, (3, 1)), atol=1e-15)
+
+    @pytest.mark.parametrize("gap", [1e-6, 1e-9, 1e-12, 0.0])
+    def test_angles_near_a_full_turn(self, gap):
+        rng = np.random.default_rng(6)
+        angle = np.nextafter(2 * np.pi - gap, 0.0)
+        vectors = unit_rows(rng, 1000)
+        self.assert_matches_scipy(unit_rows(rng, 1000) * angle, vectors)
 
 
 class TestEmitterValidation:

@@ -1,9 +1,13 @@
 import dataclasses
 import multiprocessing
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -21,6 +25,8 @@ from chiralpol.fock_oracle import (
 )
 from chiralpol.hopfield import polariton_frequencies
 from chiralpol.scans import ORACLE_DEFAULTS, run_oracle_suite, sample_stable_couplings
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def couplings(w_photon=1.0, w_matter=1.0, g=0.1, xi=0.0, lam=1):
@@ -287,23 +293,36 @@ def pools(monkeypatch):
 
 
 class TestWorkerPool:
-    @pytest.mark.parametrize("cutoff", [4, 40])  # sectors of 13 and 12 states at 4
-    def test_pooled_levels_are_the_in_process_levels_bitwise(self, pools, cutoff):
+    # (sets, cutoff) with at least POOL_MIN_STATES states between them; the
+    # sectors hold 13 and 12 states at cutoff 4, fewer than the 48 levels
+    @pytest.mark.parametrize("n_sets, cutoff", [(48, 4), (3, 40)])
+    def test_pooled_levels_are_the_in_process_levels_bitwise(self, pools, n_sets, cutoff):
         rng = np.random.default_rng(13)
-        sets = [sample_stable_couplings(rng) for _ in range(3)]
+        sets = [sample_stable_couplings(rng) for _ in range(n_sets)]
         started = pools(1)
         alone = low_levels(sets, cutoff)
         assert started == []
         pools(2)
         pooled = low_levels(sets, cutoff)
         assert started == [2]
-        assert pooled.shape == (3, min(48, (cutoff + 1) ** 2))
+        assert pooled.shape == (n_sets, min(48, (cutoff + 1) ** 2))
         assert np.array_equal(pooled, alone)
 
     def test_a_pool_has_no_more_workers_than_tasks(self, pools):
         started = pools(8)
-        low_levels(couplings(g=0.1, xi=0.3), 6)
+        low_levels(couplings(g=0.1, xi=0.3), 40)
         assert started == [2]  # one set: two parity sectors
+
+    def test_small_calls_stay_in_process(self, pools):
+        # one set at cutoff 4 solves in ~0.3 ms, a pool takes ~16 ms to start;
+        # one set at the default cutoff 40 still goes to the pool
+        started = pools(2)
+        c = couplings(g=0.1, xi=0.3)
+        assert 2 * (4 + 1) ** 2 < fock_oracle.POOL_MIN_STATES <= (40 + 1) ** 2
+        low_levels([c, c], 4)
+        assert started == []
+        low_levels(c, 40)
+        assert started == [2]
 
     def test_batch_equals_its_sets_one_by_one(self):
         rng = np.random.default_rng(5)
@@ -318,7 +337,7 @@ class TestWorkerPool:
     def test_no_worker_outlives_an_oracle_suite(self, pools):
         started = pools(2)
         table = run_oracle_suite(
-            {**ORACLE_DEFAULTS, "oracle_sets": "3", "fock_cutoff": "12"}
+            {**ORACLE_DEFAULTS, "oracle_sets": "3", "fock_cutoff": "20"}
         )
         assert len(table.rows) == 3
         assert started == [2]
@@ -330,11 +349,43 @@ class TestWorkerPool:
         def failing(*args, **kwargs):
             raise LinAlgError("band solver failed")
 
-        monkeypatch.setattr(fock_oracle, "eig_banded", failing)
+        monkeypatch.setattr(scipy.linalg, "eig_banded", failing)
         started = pools(2)
         rng = np.random.default_rng(3)
         sets = [sample_stable_couplings(rng) for _ in range(3)]
         with pytest.raises(LinAlgError, match="band solver failed"):
-            oracle_check(sets, FockConfig(cutoff=8), check_convergence=False)
+            oracle_check(sets, FockConfig(cutoff=20), check_convergence=False)
         assert started == [2]
         assert multiprocessing.active_children() == []
+
+    def test_scipy_linalg_is_loaded_before_the_pool_forks(self):
+        # a fresh interpreter, since this one loaded scipy.linalg long ago:
+        # importing the oracle leaves it unloaded, and a pooled call loads it
+        # in the parent before the pool starts, so no worker imports it
+        script = """
+import os, sys
+from chiralpol import fock_oracle
+from chiralpol.couplings import DerivedCouplings
+
+loaded = []
+
+class Pool(fock_oracle.ProcessPoolExecutor):
+    def __init__(self, *args, **kwargs):
+        loaded.append("scipy.linalg" in sys.modules)
+        super().__init__(*args, **kwargs)
+
+fock_oracle.ProcessPoolExecutor = Pool
+os.sched_getaffinity = lambda pid: {0, 1}
+c = DerivedCouplings(1.0, 1.0, 0.1, 0.3, 0.1, 0.3, n_emitters=1, handedness=1)
+assert "scipy.linalg" not in sys.modules
+fock_oracle.low_levels(c, 40)
+assert loaded == [True], loaded
+"""
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr

@@ -191,24 +191,28 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err == "config error: numeric overflow in tavis_cummings.dispersion_scan\n"
 
+    system_overflows = [
+        (["scan-cavity", "--set", "mu=1e160,0,0", "--set", "roll_delta=1"], "mu"),
+        (["scan-n", "--set", "roll_delta=101", "--set", "mu=1e300,0,0"], "mu"),
+        (["scan-dispersion", "--set", "mu=-1e308,0,0", "--set", "roll_delta=4"], "mu"),
+        (["scan-cavity", "--set", "xi_rotation=1e308,0,0,0,0,0,0,0,0"], "xi_rotation"),
+        (["scan-n", "--set", "quadrupole=0,1e200,0,-1e200,0,0,0,0,0"], "quadrupole"),
+    ]
+
     @pytest.mark.parametrize(
-        "argv",
-        [
-            ["scan-cavity", "--set", "mu=1e160,0,0", "--set", "roll_delta=1"],
-            ["scan-n", "--set", "roll_delta=101", "--set", "mu=1e300,0,0"],
-            ["scan-dispersion", "--set", "mu=-1e308,0,0", "--set", "roll_delta=4"],
-            ["scan-cavity", "--set", "xi_rotation=1e308,0,0,0,0,0,0,0,0"],
-        ],
-        ids=lambda argv: "_".join(a for a in argv if a != "--set"),
+        "argv, key",
+        system_overflows,
+        ids=["_".join(a for a in argv if a != "--set") for argv, _ in system_overflows],
     )
-    def test_system_check_overflow_is_one_line_without_warnings(self, argv):
-        # the reference emitter's |mu| or U'U overflows before any scan runs
+    def test_system_check_overflow_is_one_line_without_warnings(self, argv, key):
+        # the reference emitter's |mu|, U'U or Q - Q' overflows before any
+        # scan runs, and the error names the key
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = run_cli(argv)
         assert [str(w.message) for w in caught] == []
         assert code == 1 and out == ""
-        assert err == "config error: numeric overflow in scans._system_from\n"
+        assert err == f"config error: numeric overflow in {key}\n"
 
     @pytest.mark.parametrize(
         "argv",
