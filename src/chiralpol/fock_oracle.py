@@ -146,7 +146,7 @@ def low_levels(
         sectors = list(map(_sector_levels, *zip(*tasks)))
     else:
         # the attribute access imports scipy.linalg here, once, so that every
-        # worker forks with it loaded instead of importing it (~0.3 s) itself;
+        # worker forks with it loaded instead of importing it (~0.26 s) itself;
         # fork, not the platform default, for the same reason: a forkserver
         # or spawn worker would import numpy and scipy.linalg again
         scipy.linalg
