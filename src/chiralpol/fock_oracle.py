@@ -9,6 +9,12 @@ and LAPACK's band solver gives its lowest levels (two 841-dimensional sectors
 at the default cutoff 40). The faithful complex Hermitian matrix remains the
 contract of build_fock_hamiltonian, and the equivalence is tested.
 
+oracle_check sizes each set's solve from the set's analytic ladder: it asks
+for the levels the ladder fit would read on that ladder, plus two, and then
+checks that the fit's window really closed inside the levels solved. A set
+whose window ran to the last one is solved again at FULL_COUNT levels, so
+every report is the one a FULL_COUNT solve gives, up to eigenvalue ulps.
+
 low_levels and oracle_check take one parameter set or a sequence of them.
 The sector solves of a call are independent and hold the GIL, so a call
 large enough to repay the fork runs them in one pool of forked worker
@@ -38,10 +44,13 @@ from .couplings import DerivedCouplings
 MAX_CUTOFF = 100  # the convergence re-solve at 200 keeps ~16 MB of band
 # A call whose sectors hold fewer states than this between them solves in
 # process: below it the fork and start-up of a pool (~16 ms on 2 vCPUs) cost
-# more than the solves it spreads. Measured break-even: ~1150 states for one
-# or two sets, ~1300 for five and ~1800 for twenty; one set at the default
-# cutoff 40 holds 1681 and goes to the pool.
-POOL_MIN_STATES = 1200
+# more than the solves it spreads. Measured break-even with the sized solves
+# of oracle_check: ~1300 states for one set, ~1800 for two, ~2100 for three,
+# ~2600 for five and ~6500 for twenty; one set at the default cutoff 40 holds
+# 1681 and goes to the pool, where it takes ~0.85 of the in-process time.
+POOL_MIN_STATES = 1600
+FULL_COUNT = 48  # levels of an unsized solve, and the most a sized one asks for
+RUNGS_PAST_ONSET = 5  # gaps the ladder fit compares past the stiff gap's onset
 
 
 @dataclass(frozen=True)
@@ -130,17 +139,25 @@ def _sector_levels(c: DerivedCouplings, cutoff: int, parity: int, count: int) ->
 
 
 def low_levels(
-    c: DerivedCouplings | Sequence[DerivedCouplings], cutoff: int, count: int = 48
-) -> np.ndarray:
-    """Lowest eigenvalues of the truncated Hamiltonian, ascending: one array
-    for one set, one row per set for a sequence of sets.
+    c: DerivedCouplings | Sequence[DerivedCouplings],
+    cutoff: int,
+    count: int | Sequence[int] = FULL_COUNT,
+) -> np.ndarray | list[np.ndarray]:
+    """Lowest `count` eigenvalues of the truncated Hamiltonian, ascending: one
+    array for one set; for a sequence of sets, one row per set, or, with one
+    count per set, a list of one array per set.
 
-    Each (set, parity) sector is one task. With more than one CPU, and at
-    least POOL_MIN_STATES states over all sectors, the tasks go in contiguous
-    chunks to a pool of forked workers that lives for this call only.
+    A sector solve is a band-to-tridiagonal reduction, whose cost is fixed,
+    and a bisection for each level asked for: at cutoff 40 the reduction is
+    ~0.6 of a FULL_COUNT solve, so oracle_check asks each set for only the
+    levels its ladder fit reads (see the module note). Each (set, parity)
+    sector is one task. With more than one CPU, and at least POOL_MIN_STATES states over
+    all sectors, the tasks go in contiguous chunks to a pool of forked
+    workers that lives for this call only.
     """
     sets = [c] if isinstance(c, DerivedCouplings) else list(c)
-    tasks = [(s, cutoff, parity, count) for s in sets for parity in (0, 1)]
+    counts = [count] * len(sets) if np.ndim(count) == 0 else list(count)
+    tasks = [(s, cutoff, parity, k) for s, k in zip(sets, counts) for parity in (0, 1)]
     workers = min(len(os.sched_getaffinity(0)), len(tasks))
     if workers == 1 or len(sets) * (cutoff + 1) ** 2 < POOL_MIN_STATES:
         sectors = list(map(_sector_levels, *zip(*tasks)))
@@ -154,8 +171,11 @@ def low_levels(
         with ProcessPoolExecutor(workers, mp_context=context) as pool:
             chunk = -(-len(tasks) // workers)
             sectors = list(pool.map(_sector_levels, *zip(*tasks), chunksize=chunk))
-    levels = np.sort(np.concatenate([sectors[0::2], sectors[1::2]], axis=1))[:, :count]
-    return levels[0] if isinstance(c, DerivedCouplings) else levels
+    pairs = zip(sectors[0::2], sectors[1::2])
+    levels = [np.sort(np.concatenate(pair))[:k] for pair, k in zip(pairs, counts)]
+    if isinstance(c, DerivedCouplings):
+        return levels[0]
+    return np.array(levels) if np.ndim(count) == 0 else levels
 
 
 def _lattice(om_minus: float, om_plus: float, limit: float, count: int) -> np.ndarray:
@@ -179,7 +199,8 @@ class LadderFit:
     E0 + n omega_minus + m omega_plus best reproduces the observed levels
     (multiplicities included). `degenerate` marks a doubly degenerate first
     gap (omega_plus = omega_minus); `ambiguous` marks near-commensurate or
-    unidentifiable ladders.
+    unidentifiable ladders. `levels_read` counts the levels, from E0 up, that
+    the fit compared: every level it was given when no stiff gap showed.
     """
 
     omega_minus: float
@@ -187,6 +208,21 @@ class LadderFit:
     residual: float
     degenerate: bool
     ambiguous: bool
+    levels_read: int
+
+
+def _match_tol(e0: float, om: float, tol: float) -> float:
+    """The absolute tolerance within which fit_ladder takes two gaps as equal."""
+    return 10.0 * tol * (abs(e0) + om)
+
+
+def _onset(gaps, om: float, match_tol: float) -> Optional[int]:
+    """Index of the first gap off the pure soft ladder om, 2 om, 3 om, ...,
+    or None when every gap is on it."""
+    for index, gap in enumerate(gaps):
+        if abs(gap - (index + 1) * om) > match_tol:
+            return index
+    return None
 
 
 def fit_ladder(levels, tol: float) -> LadderFit:
@@ -197,24 +233,19 @@ def fit_ladder(levels, tol: float) -> LadderFit:
     om = float(gaps[0])
     if om <= 0:
         raise ValueError("first gap is nonpositive; spectrum is not a ladder")
-    scale = abs(levels[0]) + om
-    match_tol = 10.0 * tol * scale
+    match_tol = _match_tol(float(levels[0]), om, tol)
 
     # Walk up the pure soft ladder om, 2 om, 3 om, ...; the first position
     # that breaks the pattern marks the onset of the stiff gap, either as a
     # new value or as an extra copy of a commensurate rung. Restricting the
     # fit to a small window around it keeps unconverged high rungs (whose
     # occupations approach the cutoff) out of the comparison.
-    onset = None
-    for index, gap in enumerate(gaps):
-        if abs(gap - (index + 1) * om) > match_tol:
-            onset = index
-            break
+    onset = _onset(gaps, om, match_tol)
     if onset is None:
         # stiff gap beyond the retained window: not identifiable
-        return LadderFit(om, om, float("inf"), False, True)
+        return LadderFit(om, om, float("inf"), False, True, levels.size)
 
-    window = gaps[: min(onset + 5, gaps.size)]
+    window = gaps[: min(onset + RUNGS_PAST_ONSET, gaps.size)]
 
     def residual_for(cand: float) -> float:
         lattice = _lattice(om, cand, limit=float(window[-1]) + match_tol, count=window.size)
@@ -236,7 +267,29 @@ def fit_ladder(levels, tol: float) -> LadderFit:
         second_resid, second = scored[1]
         if second_resid < 2.0 * best_resid and abs(second - best) > match_tol:
             ambiguous = True
-    return LadderFit(om, om if degenerate else best, best_resid, degenerate, ambiguous)
+    return LadderFit(
+        om, om if degenerate else best, best_resid, degenerate, ambiguous, window.size + 1
+    )
+
+
+def _sized_count(analytic_plus: float, analytic_minus: float, tol: float) -> int:
+    """Levels to solve for a set: the levels fit_ladder reads on the set's
+    analytic ladder E0 + n Omega- + m Omega+ (E0 and the gaps up to
+    RUNGS_PAST_ONSET past the stiff gap's onset), plus two spare, at most
+    FULL_COUNT."""
+    extra = RUNGS_PAST_ONSET + 1 + 2
+    # the onset is at least Omega+/Omega- - 1 gaps up
+    if not analytic_plus < (FULL_COUNT - extra + 1) * analytic_minus:
+        return FULL_COUNT
+    gaps = _lattice(
+        analytic_minus,
+        analytic_plus,
+        limit=analytic_plus + RUNGS_PAST_ONSET * analytic_minus,
+        count=FULL_COUNT,
+    )
+    e0 = 0.5 * (analytic_plus + analytic_minus)
+    onset = _onset(gaps, analytic_minus, _match_tol(e0, analytic_minus, tol))
+    return FULL_COUNT if onset is None else min(FULL_COUNT, onset + extra)
 
 
 @dataclass(frozen=True)
@@ -269,24 +322,37 @@ def oracle_check(
     one report for one set, a list in set order for a sequence of sets, with
     one low_levels call per cutoff for all of them.
 
-    E0 is compared against the vacuum energy (Omega+ + Omega-)/2, whose
-    enantiomer difference is the discriminating Delta E_vac. With
-    check_convergence the run is repeated at twice the cutoff and
-    `converged` records whether the deviations stopped growing (down to the
-    tol floor); both gap values are reported either way.
+    Each set's solve is sized from its analytic ladder (`_sized_count`) and
+    verified by its fit: a set whose fit read every level solved goes into
+    one more low_levels call at FULL_COUNT levels, so a report never rests on
+    a window cut short. E0 is compared against the vacuum energy
+    (Omega+ + Omega-)/2, whose enantiomer difference is the discriminating
+    Delta E_vac. With check_convergence the run is repeated at twice the
+    cutoff and `converged` records whether the deviations stopped growing
+    (down to the tol floor); both gap values are reported either way.
     """
     sets = [c] if isinstance(c, DerivedCouplings) else list(c)
     analytic = [hopfield.polariton_frequencies(s) for s in sets]
+    counts = [_sized_count(plus, minus, config.tol) for plus, minus in analytic]
 
     def gaps_at(cutoff: int):
+        levels = low_levels(sets, cutoff, counts)
+        fits = [fit_ladder(row, config.tol) for row in levels]
+        again = [
+            i
+            for i, (row, fit) in enumerate(zip(levels, fits))
+            if fit.levels_read == row.size and counts[i] < FULL_COUNT
+        ]
+        if again:
+            for i, row in zip(again, low_levels([sets[i] for i in again], cutoff)):
+                levels[i], fits[i] = row, fit_ladder(row, config.tol)
         gaps = []
-        for levels, (analytic_plus, analytic_minus) in zip(low_levels(sets, cutoff), analytic):
-            fit = fit_ladder(levels, config.tol)
+        for row, fit, (analytic_plus, analytic_minus) in zip(levels, fits, analytic):
             dev_plus = abs(fit.omega_plus - analytic_plus) / analytic_plus
             dev_minus = abs(fit.omega_minus - analytic_minus) / max(
                 analytic_minus, 1e-300
             )
-            gaps.append((levels, fit, dev_plus, dev_minus))
+            gaps.append((row, fit, dev_plus, dev_minus))
         return gaps
 
     main = gaps_at(config.cutoff)

@@ -117,6 +117,32 @@ def _checked(compute: Callable):
         raise ConfigError(str(err)) from err
 
 
+def _stage(values: dict, compute: Callable[[dict], object]):
+    """compute(values) as `_checked` runs it, with an overflow that goes away
+    when mu is scaled to unit size reported as an overflow in mu. Without a
+    roll the reference check of `_system_from` does no arithmetic on |mu|,
+    so a huge mu first overflows in a scan stage, which names only itself."""
+    try:
+        return _checked(lambda: compute(values))
+    except OverflowError as err:
+        if not _runs_at_unit_mu(values, compute):
+            raise
+        raise OverflowError("numeric overflow in mu") from err
+
+
+def _runs_at_unit_mu(values: dict, compute: Callable[[dict], object]) -> bool:
+    """Whether compute runs clean on values with mu divided by its largest
+    |component|, when that is above 1."""
+    size = np.max(np.abs(values["mu"]))
+    if not size > 1.0:
+        return False
+    try:
+        compute({**values, "mu": values["mu"] / size})
+    except Exception:  # any failure at unit size leaves the overflow to the stage
+        return False
+    return True
+
+
 def _auto(table: dict, key: str, value: float) -> float:
     """value where the key reads 'auto', else the key's own number."""
     return value if table[key] == "auto" else config_float(table, key)
@@ -258,9 +284,12 @@ def scan_cavity(table: dict) -> ScanTable:
     xis = _grid(values, "xi")
 
     # one batch over the grid: omega_k down the rows, xi along them
-    emitters = [_emitter(values, float(xi)) for xi in xis]
-    c = _checked(lambda: derive_couplings(emitters, _mode(values, omegas[:, None]), n_emitters))
-    sol = solve_polaritons(c)
+    def solve(v: dict):
+        emitters = [_emitter(v, float(xi)) for xi in xis]
+        c = derive_couplings(emitters, _mode(v, omegas[:, None]), n_emitters)
+        return c, solve_polaritons(c)
+
+    c, sol = _stage(values, solve)
     unstable = np.isnan(sol.omega_plus)
     results = (
         c.omega_k_bar,
@@ -326,8 +355,8 @@ def scan_n(table: dict) -> ScanTable:
     _require(0 <= n_max_exp <= 60, "n_max_exp", n_max_exp, "expected 0..60")
     selfpol = values["selfpol"] = config_choice(table, "selfpol", ("collective", "local"))
     n_values = 2 ** np.arange(n_max_exp + 1)
-    deltas = _checked(
-        lambda: discrimination(_emitter(values, xi), _mode(values, omega_k), n_values, selfpol)
+    deltas = _stage(
+        values, lambda v: discrimination(_emitter(v, xi), _mode(v, omega_k), n_values, selfpol)
     )
     unstable = np.isnan(deltas.delta_e_vac)
     d_up, d_low, d_evac = (np.where(unstable, 0.0, d) for d in deltas)
@@ -363,7 +392,7 @@ def scan_dispersion(table: dict) -> ScanTable:
     k_pars = _grid(values, "k_par")
     base = _mode(values, SPEED_OF_LIGHT_AU * k_z)
     # a k_par/k_z above ~1e16 rounds the incidence angle to pi/2
-    core = _checked(lambda: tc_dispersion_scan(_emitter(values, xi), base, k_pars, n_emitters))
+    core = _stage(values, lambda v: tc_dispersion_scan(_emitter(v, xi), base, k_pars, n_emitters))
 
     return ScanTable(
         column_names=core.column_names,

@@ -24,7 +24,12 @@ from chiralpol.fock_oracle import (
     oracle_check,
 )
 from chiralpol.hopfield import polariton_frequencies
-from chiralpol.scans import ORACLE_DEFAULTS, run_oracle_suite, sample_stable_couplings
+from chiralpol.scans import (
+    ORACLE_DEFAULTS,
+    _max_gap_ratio,
+    run_oracle_suite,
+    sample_stable_couplings,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -272,6 +277,70 @@ class TestSoftModeSuite:
             checked += 1
 
 
+class TestSizedSolves:
+    # oracle_check asks each set for the levels its fit reads on the analytic
+    # ladder, and solves a set again in full when its fit read every level
+
+    @pytest.mark.parametrize("ratio", [1.0, 1.7, 2.0, 5.3, 11.9, 19.5])
+    def test_the_sized_count_is_the_analytic_fit_window_plus_two(self, ratio):
+        om = 0.4
+        ladder = [0.0] + sorted(
+            n * om + m * ratio * om for n in range(60) for m in range(3) if n + m > 0
+        )[:60]
+        fit = fit_ladder(ladder, tol=1e-8)
+        assert fit.levels_read < len(ladder)
+        assert fock_oracle._sized_count(ratio * om, om, 1e-8) == fit.levels_read + 2
+
+    def test_a_fit_without_a_stiff_gap_reads_every_level(self):
+        fit = fit_ladder([0.5 * k for k in range(9)], tol=1e-8)
+        assert fit.ambiguous and fit.levels_read == 9
+
+    def test_an_undersized_solve_falls_back_to_the_full_report(self, monkeypatch):
+        rng = np.random.default_rng(1741)
+        sets = [sample_stable_couplings(rng, _max_gap_ratio(16)) for _ in range(20)]
+        config = FockConfig(cutoff=16)
+        asked = []
+        levels = fock_oracle.low_levels
+
+        def counted(c, cutoff, count=fock_oracle.FULL_COUNT):
+            asked.append(count)
+            return levels(c, cutoff, count)
+
+        monkeypatch.setattr(fock_oracle, "low_levels", counted)
+
+        def reports(count):
+            if count is not None:
+                monkeypatch.setattr(fock_oracle, "_sized_count", lambda *args: count)
+            asked.clear()
+            return oracle_check(sets, config, check_convergence=True)
+
+        sized = reports(None)
+        undersized = reports(4)
+        assert asked == [[4] * 20, fock_oracle.FULL_COUNT] * 2  # all solved again
+        full = reports(fock_oracle.FULL_COUNT)
+        for checked in (sized, undersized):
+            for report, expected in zip(checked, full):
+                for flag in ("degenerate", "ambiguous", "converged"):
+                    assert getattr(report, flag) == getattr(expected, flag)
+                for name in ("omega_plus", "omega_minus", "e0"):
+                    assert getattr(report, name) == pytest.approx(
+                        getattr(expected, name), rel=1e-14, abs=0.0
+                    )
+
+    def test_the_default_suite_asks_for_few_levels_in_one_call(self, monkeypatch):
+        asked = []
+        levels = fock_oracle.low_levels
+
+        def counted(c, cutoff, count=fock_oracle.FULL_COUNT):
+            asked.append(count)
+            return levels(c, cutoff, count)
+
+        monkeypatch.setattr(fock_oracle, "low_levels", counted)
+        run_oracle_suite({**ORACLE_DEFAULTS, "oracle_sets": "20", "fock_cutoff": "40"})
+        assert len(asked) == 1  # no set needed a second solve
+        assert np.mean(asked[0]) <= 16
+
+
 @pytest.fixture
 def pools(monkeypatch):
     """cpus(n) makes low_levels see n CPUs; the list holds the worker count
@@ -295,7 +364,7 @@ def pools(monkeypatch):
 class TestWorkerPool:
     # (sets, cutoff) with at least POOL_MIN_STATES states between them; the
     # sectors hold 13 and 12 states at cutoff 4, fewer than the 48 levels
-    @pytest.mark.parametrize("n_sets, cutoff", [(48, 4), (3, 40)])
+    @pytest.mark.parametrize("n_sets, cutoff", [(72, 4), (3, 40)])
     def test_pooled_levels_are_the_in_process_levels_bitwise(self, pools, n_sets, cutoff):
         rng = np.random.default_rng(13)
         sets = [sample_stable_couplings(rng) for _ in range(n_sets)]
@@ -337,7 +406,7 @@ class TestWorkerPool:
     def test_no_worker_outlives_an_oracle_suite(self, pools):
         started = pools(2)
         table = run_oracle_suite(
-            {**ORACLE_DEFAULTS, "oracle_sets": "3", "fock_cutoff": "20"}
+            {**ORACLE_DEFAULTS, "oracle_sets": "3", "fock_cutoff": "24"}
         )
         assert len(table.rows) == 3
         assert started == [2]
@@ -354,7 +423,7 @@ class TestWorkerPool:
         rng = np.random.default_rng(3)
         sets = [sample_stable_couplings(rng) for _ in range(3)]
         with pytest.raises(LinAlgError, match="band solver failed"):
-            oracle_check(sets, FockConfig(cutoff=20), check_convergence=False)
+            oracle_check(sets, FockConfig(cutoff=24), check_convergence=False)
         assert started == [2]
         assert multiprocessing.active_children() == []
 

@@ -65,7 +65,7 @@ class TestExitCodes:
         monkeypatch.setattr(
             fock_oracle,
             "low_levels",
-            lambda c, cutoff, count=48: levels(c, cutoff, count) + 1e-3,
+            lambda c, cutoff, count=48: [row + 1e-3 for row in levels(c, cutoff, count)],
         )
         code, _, err = run_cli(
             ["oracle", "--set", "oracle_sets=2", "--set", "fock_cutoff=12"]
@@ -197,6 +197,9 @@ class TestExitCodes:
         (["scan-dispersion", "--set", "mu=-1e308,0,0", "--set", "roll_delta=4"], "mu"),
         (["scan-cavity", "--set", "xi_rotation=1e308,0,0,0,0,0,0,0,0"], "xi_rotation"),
         (["scan-n", "--set", "quadrupole=0,1e200,0,-1e200,0,0,0,0,0"], "quadrupole"),
+        (["scan-n", "--set", "mu=1e300,0,0"], "mu"),
+        (["scan-cavity", "--set", "mu=1e300,0,0"], "mu"),
+        (["scan-dispersion", "--set", "mu=1e300,0,0"], "mu"),
     ]
 
     @pytest.mark.parametrize(
@@ -206,7 +209,8 @@ class TestExitCodes:
     )
     def test_system_check_overflow_is_one_line_without_warnings(self, argv, key):
         # the reference emitter's |mu|, U'U or Q - Q' overflows before any
-        # scan runs, and the error names the key
+        # scan runs, or, without a roll, a huge mu overflows in the scan
+        # stage; either way the error names the key
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = run_cli(argv)
