@@ -150,10 +150,11 @@ def low_levels(
     A sector solve is a band-to-tridiagonal reduction, whose cost is fixed,
     and a bisection for each level asked for: at cutoff 40 the reduction is
     ~0.6 of a FULL_COUNT solve, so oracle_check asks each set for only the
-    levels its ladder fit reads (see the module note). Each (set, parity)
-    sector is one task. With more than one CPU, and at least POOL_MIN_STATES states over
-    all sectors, the tasks go in contiguous chunks to a pool of forked
-    workers that lives for this call only.
+    levels its ladder fit reads (see the module note).
+
+    Each (set, parity) sector is one task. With more than one CPU, and at
+    least POOL_MIN_STATES states over all sectors, the tasks go in contiguous
+    chunks to a pool of forked workers that lives for this call only.
     """
     sets = [c] if isinstance(c, DerivedCouplings) else list(c)
     counts = [count] * len(sets) if np.ndim(count) == 0 else list(count)

@@ -27,7 +27,13 @@ from .config import (
     config_int,
     render_value,
 )
-from .couplings import DerivedCouplings, derive_couplings, elementwise, float_policy
+from .couplings import (
+    DerivedCouplings,
+    InstabilityError,
+    derive_couplings,
+    elementwise,
+    float_policy,
+)
 from .emitters import Emitter, chiral_tdm_vector
 from .fields import SPEED_OF_LIGHT_AU, CavityMode
 from .fock_oracle import FockConfig, oracle_check
@@ -118,10 +124,11 @@ def _checked(compute: Callable):
 
 
 def _stage(values: dict, compute: Callable[[dict], object]):
-    """compute(values) as `_checked` runs it, with an overflow that goes away
-    when mu is scaled to unit size reported as an overflow in mu. Without a
-    roll the reference check of `_system_from` does no arithmetic on |mu|,
-    so a huge mu first overflows in a scan stage, which names only itself."""
+    """compute(values) under `_checked`. An overflow that goes away when mu
+    is scaled down to unit size is reported as an overflow in mu: without a
+    roll, the reference check in `_system_from` does no arithmetic on |mu|,
+    so a huge mu first overflows in a scan stage, whose error names only
+    the stage."""
     try:
         return _checked(lambda: compute(values))
     except OverflowError as err:
@@ -138,8 +145,8 @@ def _runs_at_unit_mu(values: dict, compute: Callable[[dict], object]) -> bool:
         return False
     try:
         compute({**values, "mu": values["mu"] / size})
-    except Exception:  # any failure at unit size leaves the overflow to the stage
-        return False
+    except (ArithmeticError, ValueError, InstabilityError):
+        return False  # a failure at unit size leaves the overflow to the stage
     return True
 
 

@@ -277,6 +277,20 @@ class TestSoftModeSuite:
             checked += 1
 
 
+@pytest.fixture
+def asked(monkeypatch):
+    """The `count` of each low_levels call, in call order."""
+    counts = []
+    levels = fock_oracle.low_levels
+
+    def counted(c, cutoff, count=fock_oracle.FULL_COUNT):
+        counts.append(count)
+        return levels(c, cutoff, count)
+
+    monkeypatch.setattr(fock_oracle, "low_levels", counted)
+    return counts
+
+
 class TestSizedSolves:
     # oracle_check asks each set for the levels its fit reads on the analytic
     # ladder, and solves a set again in full when its fit read every level
@@ -295,18 +309,10 @@ class TestSizedSolves:
         fit = fit_ladder([0.5 * k for k in range(9)], tol=1e-8)
         assert fit.ambiguous and fit.levels_read == 9
 
-    def test_an_undersized_solve_falls_back_to_the_full_report(self, monkeypatch):
+    def test_an_undersized_solve_falls_back_to_the_full_report(self, asked, monkeypatch):
         rng = np.random.default_rng(1741)
         sets = [sample_stable_couplings(rng, _max_gap_ratio(16)) for _ in range(20)]
         config = FockConfig(cutoff=16)
-        asked = []
-        levels = fock_oracle.low_levels
-
-        def counted(c, cutoff, count=fock_oracle.FULL_COUNT):
-            asked.append(count)
-            return levels(c, cutoff, count)
-
-        monkeypatch.setattr(fock_oracle, "low_levels", counted)
 
         def reports(count):
             if count is not None:
@@ -327,15 +333,7 @@ class TestSizedSolves:
                         getattr(expected, name), rel=1e-14, abs=0.0
                     )
 
-    def test_the_default_suite_asks_for_few_levels_in_one_call(self, monkeypatch):
-        asked = []
-        levels = fock_oracle.low_levels
-
-        def counted(c, cutoff, count=fock_oracle.FULL_COUNT):
-            asked.append(count)
-            return levels(c, cutoff, count)
-
-        monkeypatch.setattr(fock_oracle, "low_levels", counted)
+    def test_the_default_suite_asks_for_few_levels_in_one_call(self, asked):
         run_oracle_suite({**ORACLE_DEFAULTS, "oracle_sets": "20", "fock_cutoff": "40"})
         assert len(asked) == 1  # no set needed a second solve
         assert np.mean(asked[0]) <= 16
