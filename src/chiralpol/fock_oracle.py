@@ -279,7 +279,8 @@ def _sized_count(analytic_plus: float, analytic_minus: float, tol: float) -> int
     RUNGS_PAST_ONSET past the stiff gap's onset), plus two spare, at most
     FULL_COUNT."""
     extra = RUNGS_PAST_ONSET + 1 + 2
-    # the onset is at least Omega+/Omega- - 1 gaps up
+    # the onset is at least Omega+/Omega- - 1 gaps up; this also keeps
+    # _lattice finite when Omega- is 0 or NaN
     if not analytic_plus < (FULL_COUNT - extra + 1) * analytic_minus:
         return FULL_COUNT
     gaps = _lattice(
