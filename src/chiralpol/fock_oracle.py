@@ -17,20 +17,22 @@ every report is the one a FULL_COUNT solve gives, up to eigenvalue ulps.
 
 low_levels and oracle_check take one parameter set or a sequence of them.
 The sector solves of a call are independent and hold the GIL, so a call
-large enough to repay the fork runs them in one pool of forked worker
-processes, one per CPU; ladder fits and reports stay in the calling process.
+large enough to repay the fork splits them into one contiguous chunk per
+CPU and forks one child per chunk, which sends its levels back over a pipe
+(`_forked_map`); ladder fits and reports stay in the calling process.
 A report is a plain record: the oracle CSV and its columns belong to
 `scans.run_oracle_suite`.
 
 LAPACK is loaded with `scipy.linalg`, which this module reaches as an
 attribute of `scipy`: SciPy imports the submodule at the first access, which
-is the first sector solve, or the line just before a pool forks. Importing
-this module, and with it the CLI, does not import `scipy.linalg`.
+is the first sector solve, or the line just before the children fork.
+Importing this module, and with it the CLI, does not import `scipy.linalg`;
+nor does it import `multiprocessing`: the fork map needs only `os`.
 """
 
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
+import pickle
+import signal
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -43,11 +45,11 @@ from .couplings import DerivedCouplings
 
 MAX_CUTOFF = 100  # the convergence re-solve at 200 keeps ~16 MB of band
 # A call whose sectors hold fewer states than this between them solves in
-# process: below it the fork and start-up of a pool (~16 ms on 2 vCPUs) cost
-# more than the solves it spreads. Measured break-even with the sized solves
-# of oracle_check: ~1300 states for one set, ~1800 for two, ~2100 for three,
-# ~2600 for five and ~6500 for twenty; one set at the default cutoff 40 holds
-# 1681 and goes to the pool, where it takes ~0.85 of the in-process time.
+# process: below it forking the children (~7 ms on 2 vCPUs) costs more than
+# the solves it spreads. Measured break-even with the sized solves of
+# oracle_check: ~1100 states for one set, ~1300 for two, ~1850 for three,
+# ~2200 for five and ~3000 for twenty; one set at the default cutoff 40 holds
+# 1681 and is forked, where it takes ~0.77 of the in-process time.
 POOL_MIN_STATES = 1600
 FULL_COUNT = 48  # levels of an unsized solve, and the most a sized one asks for
 RUNGS_PAST_ONSET = 5  # gaps the ladder fit compares past the stiff gap's onset
@@ -138,6 +140,58 @@ def _sector_levels(c: DerivedCouplings, cutoff: int, parity: int, count: int) ->
     )
 
 
+def _forked_map(func, tasks: list, workers: int) -> list:
+    """[func(*task) for task in tasks], with the tasks split into contiguous
+    chunks of ceil(len(tasks)/workers), each run by its own forked child.
+
+    A child sends one pickled (ok, results or exception) record up its pipe
+    and leaves by os._exit, so it neither flushes the stdio buffers it
+    inherited nor runs exit handlers. The parent reads the pipes in chunk
+    order and raises a child's exception as it is; a child that left no
+    readable record (killed, crashed, or its record would not pickle) is a
+    RuntimeError. Every child is reaped before the call returns, and on an
+    error any child still running is killed first.
+    """
+    size = -(-len(tasks) // workers)
+    pids, pipes = [], []
+    done = False
+    try:
+        for start in range(0, len(tasks), size):
+            read_end, write_end = os.pipe()
+            pipes.append(open(read_end, "rb"))
+            with open(write_end, "wb") as writer:  # the parent's copy closes here
+                pid = os.fork()
+                if pid == 0:
+                    try:
+                        try:
+                            record = (True, [func(*task) for task in tasks[start : start + size]])
+                        except BaseException as error:
+                            record = (False, error)
+                        writer.write(pickle.dumps(record))
+                        writer.flush()
+                    finally:
+                        os._exit(0)
+            pids.append(pid)
+        results = []
+        for pid, pipe in zip(pids, pipes):
+            try:
+                ok, value = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError) as error:
+                raise RuntimeError(f"oracle worker {pid} left no readable result") from error
+            if not ok:
+                raise value
+            results.extend(value)
+        done = True
+        return results
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            if not done:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def low_levels(
     c: DerivedCouplings | Sequence[DerivedCouplings],
     cutoff: int,
@@ -153,8 +207,9 @@ def low_levels(
     levels its ladder fit reads (see the module note).
 
     Each (set, parity) sector is one task. With more than one CPU, and at
-    least POOL_MIN_STATES states over all sectors, the tasks go in contiguous
-    chunks to a pool of forked workers that lives for this call only.
+    least POOL_MIN_STATES states over all sectors, the tasks go in one
+    contiguous chunk per CPU to forked children that live for this call only
+    (`_forked_map`); the levels are bitwise those of an in-process solve.
     """
     sets = [c] if isinstance(c, DerivedCouplings) else list(c)
     counts = [count] * len(sets) if np.ndim(count) == 0 else list(count)
@@ -164,14 +219,9 @@ def low_levels(
         sectors = list(map(_sector_levels, *zip(*tasks)))
     else:
         # the attribute access imports scipy.linalg here, once, so that every
-        # worker forks with it loaded instead of importing it (~0.26 s) itself;
-        # fork, not the platform default, for the same reason: a forkserver
-        # or spawn worker would import numpy and scipy.linalg again
+        # child forks with it loaded instead of importing it (~0.26 s) itself
         scipy.linalg
-        context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(workers, mp_context=context) as pool:
-            chunk = -(-len(tasks) // workers)
-            sectors = list(pool.map(_sector_levels, *zip(*tasks), chunksize=chunk))
+        sectors = _forked_map(_sector_levels, tasks, workers)
     pairs = zip(sectors[0::2], sectors[1::2])
     levels = [np.sort(np.concatenate(pair))[:k] for pair, k in zip(pairs, counts)]
     if isinstance(c, DerivedCouplings):

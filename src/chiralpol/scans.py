@@ -409,7 +409,7 @@ def scan_dispersion(table: dict) -> ScanTable:
 
 
 def sample_stable_couplings(
-    rng: np.random.Generator, max_gap_ratio: float = ORACLE_MAX_GAP_RATIO
+    rng: "np.random.Generator", max_gap_ratio: float = ORACLE_MAX_GAP_RATIO
 ) -> DerivedCouplings:
     """One random thermodynamically stable parameter set for the oracle.
 

@@ -1,8 +1,10 @@
 import dataclasses
-import multiprocessing
 import os
+import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -341,22 +343,40 @@ class TestSizedSolves:
 
 @pytest.fixture
 def pools(monkeypatch):
-    """cpus(n) makes low_levels see n CPUs; the list holds the worker count
-    of each pool it starts."""
+    """cpus(n) makes low_levels see n CPUs; the list holds the number of
+    children each pooled call forks."""
     started = []
+    children = []
+    fork, forked_map = os.fork, fock_oracle._forked_map
 
-    class CountedPool(fock_oracle.ProcessPoolExecutor):
-        def __init__(self, workers, **kwargs):
-            started.append(workers)
-            super().__init__(workers, **kwargs)
+    def counted_fork():
+        pid = fork()
+        if pid:
+            children.append(pid)
+        return pid
 
-    monkeypatch.setattr(fock_oracle, "ProcessPoolExecutor", CountedPool)
+    def counted_map(*args):
+        before = len(children)
+        try:
+            return forked_map(*args)
+        finally:
+            started.append(len(children) - before)
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(fock_oracle, "_forked_map", counted_map)
 
     def cpus(count):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
         return started
 
     return cpus
+
+
+def assert_no_child_left():
+    # waitpid(-1) raises only when this process has no child at all, running
+    # or unreaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestWorkerPool:
@@ -381,8 +401,8 @@ class TestWorkerPool:
         assert started == [2]  # one set: two parity sectors
 
     def test_small_calls_stay_in_process(self, pools):
-        # one set at cutoff 4 solves in ~0.3 ms, a pool takes ~16 ms to start;
-        # one set at the default cutoff 40 still goes to the pool
+        # one set at cutoff 4 solves in ~0.3 ms, forking takes ~7 ms; one set
+        # at the default cutoff 40 is still forked
         started = pools(2)
         c = couplings(g=0.1, xi=0.3)
         assert 2 * (4 + 1) ** 2 < fock_oracle.POOL_MIN_STATES <= (40 + 1) ** 2
@@ -408,7 +428,7 @@ class TestWorkerPool:
         )
         assert len(table.rows) == 3
         assert started == [2]
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     def test_worker_error_reaches_the_caller_and_no_worker_outlives_it(
         self, pools, monkeypatch
@@ -423,7 +443,7 @@ class TestWorkerPool:
         with pytest.raises(LinAlgError, match="band solver failed"):
             oracle_check(sets, FockConfig(cutoff=24), check_convergence=False)
         assert started == [2]
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     def test_scipy_linalg_is_loaded_before_the_pool_forks(self):
         # a fresh interpreter, since this one loaded scipy.linalg long ago:
@@ -435,18 +455,18 @@ from chiralpol import fock_oracle
 from chiralpol.couplings import DerivedCouplings
 
 loaded = []
+fork = os.fork
 
-class Pool(fock_oracle.ProcessPoolExecutor):
-    def __init__(self, *args, **kwargs):
-        loaded.append("scipy.linalg" in sys.modules)
-        super().__init__(*args, **kwargs)
+def recorded_fork():
+    loaded.append("scipy.linalg" in sys.modules)
+    return fork()
 
-fock_oracle.ProcessPoolExecutor = Pool
+os.fork = recorded_fork
 os.sched_getaffinity = lambda pid: {0, 1}
 c = DerivedCouplings(1.0, 1.0, 0.1, 0.3, 0.1, 0.3, n_emitters=1, handedness=1)
 assert "scipy.linalg" not in sys.modules
 fock_oracle.low_levels(c, 40)
-assert loaded == [True], loaded
+assert loaded and all(loaded), loaded
 """
         result = subprocess.run(
             [sys.executable, "-c", script],
@@ -456,3 +476,124 @@ assert loaded == [True], loaded
             timeout=120,
         )
         assert result.returncode == 0, result.stderr
+
+
+# a fresh interpreter that sees two CPUs, with four sets at the default
+# cutoff 40: enough states between them that low_levels forks
+FORKING = """
+import gc, os, signal, sys
+from chiralpol import fock_oracle
+from chiralpol.couplings import DerivedCouplings
+
+os.sched_getaffinity = lambda pid: {0, 1}
+sets = [DerivedCouplings(1.0, 1.0, 0.1, 0.3, 0.1, 0.3, n_emitters=1, handedness=1)] * 4
+assert 4 * 41**2 >= fock_oracle.POOL_MIN_STATES
+parent = os.getpid()
+solve = fock_oracle._sector_levels
+
+def killed_in_a_child(c, cutoff, parity, count):
+    # the child of the first chunk dies; the other is still solving
+    if os.getpid() != parent and parity == 0:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return solve(c, cutoff, parity, count)
+
+def no_child_left():
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+"""
+
+
+def run_forking(script: str, *options: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, *options, "-c", FORKING + script],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+class TestForkedMap:
+    def test_a_killed_child_is_one_clear_error(self):
+        result = run_forking(
+            """
+fock_oracle._sector_levels = killed_in_a_child
+try:
+    fock_oracle.low_levels(sets, 40)
+except RuntimeError as error:
+    print(error)
+print(no_child_left())
+"""
+        )
+        assert result.returncode == 0, result.stderr
+        message, left = result.stdout.splitlines()
+        assert re.fullmatch(r"oracle worker \d+ left no readable result", message)
+        assert left == "True"
+
+    def test_a_failed_read_kills_and_reaps_every_child(self, pools, monkeypatch):
+        # the children would sleep for a minute; only killing them ends the
+        # call sooner
+        parent = os.getpid()
+
+        def sleeping_in_a_child(*args):
+            if os.getpid() != parent:
+                time.sleep(60)
+
+        def failing_load(pipe):
+            raise OSError("read failed")
+
+        monkeypatch.setattr(fock_oracle, "_sector_levels", sleeping_in_a_child)
+        monkeypatch.setattr(fock_oracle.pickle, "load", failing_load)
+        started = pools(2)
+        begin = time.perf_counter()
+        with pytest.raises(OSError, match="read failed"):
+            low_levels(couplings(g=0.1, xi=0.3), 40)
+        assert time.perf_counter() - begin < 30
+        assert started == [2]
+        assert_no_child_left()
+
+    def test_no_file_descriptor_or_resource_leaks(self):
+        result = run_forking(
+            """
+def open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+def failing(c, cutoff, parity, count):
+    raise ValueError("solve failed")
+
+counts = [open_fds()]
+fock_oracle.low_levels(sets, 40)
+counts.append(open_fds())
+for solver in (killed_in_a_child, failing):
+    fock_oracle._sector_levels = solver
+    try:
+        fock_oracle.low_levels(sets, 40)
+    except (RuntimeError, ValueError) as error:
+        print(type(error).__name__)
+    counts.append(open_fds())
+gc.collect()
+print(*counts)
+print(no_child_left())
+""",
+            "-W",
+            "error::ResourceWarning",
+        )
+        assert result.returncode == 0, result.stderr
+        assert "ResourceWarning" not in result.stderr
+        killed, failed, counts, left = result.stdout.splitlines()
+        assert (killed, failed) == ("RuntimeError", "ValueError")
+        assert len(set(counts.split())) == 1, counts
+        assert left == "True"
+
+    def test_unflushed_output_is_written_once(self):
+        result = run_forking(
+            """
+sys.stdout.write("written before the fork\\n")
+fock_oracle.low_levels(sets, 40)
+"""
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "written before the fork\n"

@@ -1,8 +1,9 @@
 """Structural guards: every import in the package sits at module level, so a
 dependency cycle between its modules cannot hide inside a function body;
-the scan subcommands load no SciPy submodule; the names the traced
-benchmark rebinds still exist and its smoke run passes; and each scan
-evaluates its points in batches, not point by point."""
+the scan subcommands load no SciPy submodule, no process-pool machinery and
+no numpy.random; the names the traced benchmark rebinds still exist and its
+smoke run passes; and each scan evaluates its points in batches, not point
+by point."""
 
 import ast
 import json
@@ -53,6 +54,34 @@ for argv in (
         assert cli.main(argv) == 0, argv
 heavy = ("scipy.linalg", "scipy.sparse", "scipy.spatial", "scipy.special")
 print(json.dumps([name for name in heavy if name in sys.modules]))
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == []
+
+
+def test_scan_subcommands_load_no_process_pool_or_random_machinery():
+    # the oracle forks its children with os alone, and only the oracle draws
+    # random sets, so a scan process needs none of these (41 modules)
+    script = """
+import contextlib, io, json, sys
+from chiralpol import cli
+
+for argv in (
+    ["scan-cavity", "--set", "omega_k_points=3", "--set", "xi_points=3"],
+    ["scan-n", "--set", "n_max_exp=4", "--set", "roll_delta=1"],
+    ["scan-dispersion", "--set", "k_par_points=3"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+unused = ("multiprocessing", "concurrent.futures", "numpy.random")
+print(json.dumps([name for name in unused if name in sys.modules]))
 """
     result = subprocess.run(
         [sys.executable, "-c", script],
