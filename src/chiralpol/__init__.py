@@ -11,7 +11,7 @@ from .couplings import (
     orientation_averaged_coupling_sq,
     sample_orientation_coupling,
 )
-from .emitters import Emitter, ReciprocityResult, check_reciprocity, chiral_tdm_vector
+from .emitters import Emitter, chiral_tdm_vector
 from .fields import (
     SPEED_OF_LIGHT_AU,
     CavityMode,
@@ -19,13 +19,11 @@ from .fields import (
     optical_chirality_density,
     polarization_gradient,
     standing_wave_polarization,
-    standing_wave_polarization_oblique,
 )
 from .fock_oracle import (
     FockConfig,
     LadderFit,
     OracleReport,
-    build_fock_hamiltonian,
     fit_ladder,
     low_levels,
     oracle_check,
@@ -36,7 +34,6 @@ from .hopfield import (
     PolaritonInstabilityError,
     PolaritonSolution,
     discrimination,
-    dynamical_matrix,
     find_critical_n,
     hopfield_coefficients,
     polariton_frequencies,

@@ -104,8 +104,11 @@ class DerivedCouplings:
                     cancellation-free from derive_couplings, else (None) the
                     dressed differences, which a given value must match
 
-    Every field but handedness may be an array (a batch, entry by entry);
-    a batch entry that is unstable is NaN in every float field.
+    Every field but handedness may be an array (a batch, entry by entry):
+    derive_couplings batches over an array emitter.xi_scale, mode.omega_k
+    or N, and polariton_frequencies, solve_polaritons and stability_factors
+    take such a batch. A batch entry that is unstable is NaN in every float
+    field.
     """
 
     omega_k_bar: float
@@ -181,30 +184,21 @@ def derive_couplings(
     sign. A vanishing electric contraction yields g = xi = 0 with the
     decoupled flag instead of an error, so orientation scans do not abort.
 
-    Batches broadcast entry by entry: `emitter` may be a sequence of
-    emitters (the last axis), and mode.omega_k and n_emitters may be arrays.
-    A single emitter with scalar omega_k and N is a batch of one: it returns
-    Python scalars and raises MagneticInstabilityError where a batch holds
-    a NaN entry.
+    Batches broadcast entry by entry: emitter.xi_scale, mode.omega_k and
+    n_emitters may be arrays. An emitter with scalar xi_scale, omega_k and
+    N is a batch of one: it returns Python scalars and raises
+    MagneticInstabilityError where a batch holds a NaN entry.
     """
     if selfpol not in ("collective", "local"):
         raise ValueError(f"selfpol must be 'collective' or 'local', got {selfpol!r}")
     eps = standing_wave_polarization(mode)
-    grad = polarization_gradient(mode)
-    single = isinstance(emitter, Emitter)
-    terms = np.array(
-        [
-            (
-                e.omega_m,
-                e.mu @ eps,
-                np.sum(e.quadrupole * grad),
-                chiral_tdm_vector(e) @ eps,
-                eps @ e.chi_m @ eps,
-            )
-            for e in ([emitter] if single else emitter)
-        ]
-    ).T
-    omega_m, mu_proj, quad_proj, magnetic, contraction = terms[:, 0] if single else terms
+    omega_m = emitter.omega_m
+    mu_proj = emitter.mu @ eps
+    quad_proj = np.sum(emitter.quadrupole * polarization_gradient(mode))
+    magnetic = np.sum(chiral_tdm_vector(emitter) * eps, axis=-1)
+    # broadcast over a xi batch, so that every field carries its axis and an
+    # unstable omega_k_bar there is NaN, not a raise
+    contraction = np.broadcast_to(eps @ emitter.chi_m @ eps, np.shape(magnetic))
     omega_k = mode.omega_k
     electric = mu_proj + quad_proj
     factor = n_emitters if selfpol == "collective" else 1
@@ -266,7 +260,7 @@ def orientation_averaged_coupling_sq(
 
     Closed form (N/3) * prefactor * [(1+s^2)|mu|^2 + 2 lambda s <mu|U mu>];
     only the chiral component (parallel projection of U mu on mu) is
-    handedness-selective.
+    handedness-selective. Takes one emitter: a scalar xi_scale.
     """
     s = emitter.xi_scale
     lam = mode.handedness
@@ -314,7 +308,8 @@ def sample_orientation_coupling(
     uniform on [-1, 1]; azimuth and roll delta uniform on [0, 2pi)) and
     averages the squared projection of the rotated combined moment
     (1 + lambda s U) mu onto the mode polarization. Deterministic for a
-    fixed seed; converges to orientation_averaged_coupling_sq.
+    fixed seed; converges to orientation_averaged_coupling_sq. Takes one
+    emitter: a scalar xi_scale.
     """
     if n_samples < 100:
         raise ValueError(f"n_samples must be at least 100, got {n_samples}")

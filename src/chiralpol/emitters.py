@@ -1,13 +1,11 @@
 """Chiral emitters: tensor electric-to-magnetic TDM mapping and reciprocity."""
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 _ORTHOGONALITY_TOL = 1e-12
 _SYMMETRY_TOL = 1e-12
-_RECIPROCITY_TOL = 1e-10
 
 
 def _as_matrix(value, name: str) -> np.ndarray:
@@ -24,7 +22,13 @@ class Emitter:
     omega_m     : matter transition frequency (a.u.)
     mu          : electric transition dipole moment, real 3-vector (a.u.)
     quadrupole  : electric quadrupole tensor Q_ab, real symmetric 3x3 (a.u.)
-    xi_scale    : chirality scale s (real by reciprocity)
+    xi_scale    : chirality scale s (real by reciprocity); an array makes a
+                  batch of emitters that differ only in s, as an array
+                  CavityMode.omega_k makes a batch of modes.
+                  chiral_tdm_vector and derive_couplings take the batch
+                  entry by entry; discrimination, find_critical_n, the
+                  orientation averages and the Tavis-Cummings dispersion
+                  take one s
     xi_rotation : orthogonal 3x3 part U of the mapping (default identity)
     roll_delta  : rotation angle about mu completing the mapping, in [0, 2pi)
     chi_m       : parametric self-magnetization tensor, real symmetric 3x3
@@ -33,7 +37,7 @@ class Emitter:
     omega_m: float
     mu: np.ndarray
     quadrupole: np.ndarray = field(default_factory=lambda: np.zeros((3, 3)))
-    xi_scale: float = 0.0
+    xi_scale: float | np.ndarray = 0.0
     xi_rotation: np.ndarray = field(default_factory=lambda: np.eye(3))
     roll_delta: float = 0.0
     chi_m: np.ndarray = field(default_factory=lambda: np.zeros((3, 3)))
@@ -47,10 +51,12 @@ class Emitter:
         mu = mu.real.astype(float)
         if mu.shape != (3,):
             raise ValueError(f"mu must be a 3-vector, got shape {mu.shape}")
-        if np.iscomplex(self.xi_scale) and self.xi_scale.imag != 0:
+        xi = np.asarray(self.xi_scale)
+        if np.iscomplexobj(xi) and np.any(xi.imag != 0):
             raise ValueError("xi_scale must be real (reciprocity)")
+        xi = xi.real.astype(float)
         object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "xi_scale", float(np.real(self.xi_scale)))
+        object.__setattr__(self, "xi_scale", xi if xi.ndim else float(xi))
         object.__setattr__(self, "roll_delta", float(self.roll_delta) % (2 * np.pi))
 
         rot = _as_matrix(self.xi_rotation, "xi_rotation")
@@ -95,10 +101,13 @@ def rotate(rotvec, v) -> np.ndarray:
 def chiral_tdm_vector(emitter: Emitter) -> np.ndarray:
     """Magnetic transition moment over -i c, i.e. R_mu(delta) * s * U * mu.
 
-    The norm equals |s|*|mu| since rotations preserve length.
+    The norm equals |s|*|mu| since rotations preserve length. An array s
+    gives one moment per entry, on a new last axis. U mu is formed once and
+    then scaled, so that an entry of a batch is bitwise the moment of the
+    emitter with that scalar s.
     """
     mu = emitter.mu
-    core = emitter.xi_scale * emitter.xi_rotation @ mu
+    core = np.multiply.outer(emitter.xi_scale, emitter.xi_rotation @ mu)
     if emitter.roll_delta == 0.0:
         return core
     norm = np.linalg.norm(mu)
@@ -106,21 +115,3 @@ def chiral_tdm_vector(emitter: Emitter) -> np.ndarray:
         raise ValueError("roll_delta rotation undefined for mu = 0 (no axis)")
     return rotate(emitter.roll_delta * mu / norm, core)
 
-
-class ReciprocityResult(NamedTuple):
-    ok: bool
-    imag_magnitude: float
-    orthogonality_defect: float
-
-
-def check_reciprocity(xi_scale, rotation) -> ReciprocityResult:
-    """Onsager-Casimir constraint on the chirality mapping: Im(s) = 0, U'U = 1.
-
-    Violations carry the offending imaginary magnitude and orthogonality
-    defect; tolerance 1e-10 on both.
-    """
-    imag = abs(np.imag(complex(xi_scale)))
-    rot = _as_matrix(rotation, "rotation")
-    defect = float(np.linalg.norm(rot.T @ rot - np.eye(3)))
-    ok = imag <= _RECIPROCITY_TOL and defect <= _RECIPROCITY_TOL
-    return ReciprocityResult(ok, float(imag), defect)

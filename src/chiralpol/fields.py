@@ -60,31 +60,9 @@ def standing_wave_polarization(mode: CavityMode) -> np.ndarray:
     Real unit vector for every z.
     """
     if mode.theta_inc != 0.0:
-        raise ValueError("mode has nonzero incidence angle; use the oblique variant")
+        raise ValueError("mode is oblique (theta_inc != 0); this holds for the vertical mode only")
     arg = mode.k_z * mode.z
     return np.array([np.cos(arg), -mode.handedness * np.sin(arg), 0.0])
-
-
-def standing_wave_polarization_oblique(mode: CavityMode, x: float = 0.0) -> np.ndarray:
-    """Complex polarization of a standing wave with in-plane momentum.
-
-    Returns (cos(theta) cos(k_z z), -lambda sin(k_z z), -i sin(theta) sin(k_z z))
-    times the in-plane phase exp(i k_x x), with k_x = k_z tan(theta).
-    Reduces to standing_wave_polarization at theta_inc = 0.
-    """
-    theta = mode.theta_inc
-    lam = mode.handedness
-    arg = mode.k_z * mode.z
-    k_x = mode.k_z * np.tan(theta)
-    vec = np.array(
-        [
-            np.cos(theta) * np.cos(arg),
-            -lam * np.sin(arg),
-            -1j * np.sin(theta) * np.sin(arg),
-        ],
-        dtype=complex,
-    )
-    return vec * np.exp(1j * k_x * x)
 
 
 def polarization_gradient(mode: CavityMode) -> np.ndarray:
@@ -96,7 +74,7 @@ def polarization_gradient(mode: CavityMode) -> np.ndarray:
     couplings, not here.
     """
     if mode.theta_inc != 0.0:
-        raise ValueError("mode has nonzero incidence angle; use the oblique variant")
+        raise ValueError("mode is oblique (theta_inc != 0); this holds for the vertical mode only")
     arg = mode.k_z * mode.z
     grad = np.zeros((3, 3))
     grad[2, 0] = -mode.k_z * np.sin(arg)

@@ -12,9 +12,9 @@ one but are not individually bounded by [0, 1] in the ultrastrong regime.
 
 The coefficients come from two real 2x2 blocks (J. J. Hopfield, Phys. Rev.
 112, 1555 (1958)): with z = i z', u = i u', a = (x + y, z' - u') and
-b = (x - y, z' + u'), K(Omega) v = 0 reads Omega a = P b, Omega b = Q a with
-P = [[wk, p r], [p r, wm]], Q = [[wk, r], [r, wm]], r = 2 sqrt(N) g and
-p = xi lambda, so det P = f2 and det Q = f1.
+b = (x - y, z' + u'), the operator's [P, H] = Omega P reads Omega a = P b,
+Omega b = Q a with P = [[wk, p r], [p r, wm]], Q = [[wk, r], [r, wm]],
+r = 2 sqrt(N) g and p = xi lambda, so det P = f2 and det Q = f1.
 """
 
 import dataclasses
@@ -92,27 +92,6 @@ def polariton_frequencies(c: DerivedCouplings) -> tuple[float, float]:
     # the product form can overshoot the direct form by an ulp at degeneracy
     lower = np.minimum(lower, upper)
     return tuple(scalar_or_array(np.where(unstable, np.nan, x)) for x in (upper, lower))
-
-
-def dynamical_matrix(c: DerivedCouplings, omega: float) -> np.ndarray:
-    """4x4 system K(Omega) whose null vector holds the (x, y, z, u) coefficients.
-
-    Equals the determinant matrix of the eigenvalue condition evaluated at
-    -Omega, matching the annihilation convention [P, H] = Omega P.
-    """
-    w1, w2 = c.omega_k_bar, c.omega_m_tilde
-    g_root = np.sqrt(c.n_emitters) * c.g_tilde
-    p = c.xi_tilde * c.handedness
-    gp, gm = (1.0 + p) * g_root, (1.0 - p) * g_root
-    return np.array(
-        [
-            [omega - w1, 0.0, 1j * gp, -1j * gm],
-            [0.0, omega + w1, -1j * gm, 1j * gp],
-            [-1j * gp, -1j * gm, omega - w2, 0.0],
-            [-1j * gm, -1j * gp, 0.0, omega + w2],
-        ],
-        dtype=complex,
-    )
 
 
 def _fix_phase(vec: np.ndarray) -> np.ndarray:
@@ -252,8 +231,9 @@ def discrimination(
     dE_vac = dT/(2 (S_l + S_r)), dOmega- = -Omega-_l dOmega+/Omega+_r and
     dOmega+ = dT (1 + 2 (wk^2 + wm^2)/(sqrt(D_l) + sqrt(D_r)))/(2 (Omega+_l + Omega+_r)).
 
-    n_emitters may be an array: the differences are then arrays, NaN where
-    either enantiomer is unstable; a batch of one raises instead.
+    Takes one emitter (a scalar xi_scale). n_emitters may be an array: the
+    differences are then arrays, NaN where either enantiomer is unstable; a
+    batch of one raises instead.
     """
     c = derive_couplings(emitter, mode, n_emitters, selfpol)
     mirror = dataclasses.replace(c, xi_tilde=-c.xi_tilde, xi_bar=-c.xi_bar)

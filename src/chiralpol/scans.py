@@ -204,8 +204,8 @@ def _raise_for_overflowing_key(system: dict) -> None:
             chiral_tdm_vector(Emitter(**neutral))
 
 
-def _emitter(values: dict, xi: float) -> Emitter:
-    """The configured emitter at chirality scale xi."""
+def _emitter(values: dict, xi) -> Emitter:
+    """The configured emitter at chirality scale xi (a number or an array)."""
     return Emitter(
         omega_m=values["omega_m"],
         mu=values["mu"],
@@ -292,8 +292,7 @@ def scan_cavity(table: dict) -> ScanTable:
 
     # one batch over the grid: omega_k down the rows, xi along them
     def solve(v: dict):
-        emitters = [_emitter(v, float(xi)) for xi in xis]
-        c = derive_couplings(emitters, _mode(v, omegas[:, None]), n_emitters)
+        c = derive_couplings(_emitter(v, xis), _mode(v, omegas[:, None]), n_emitters)
         return c, solve_polaritons(c)
 
     c, sol = _stage(values, solve)

@@ -84,7 +84,7 @@ def dispersion_scan(
     terms are dropped by the model's construction, and eta is held fixed per
     mode (no volume rescaling with the number of retained sectors). The
     k_par = 0 row reproduces the vertical-mode single-excitation spectrum
-    for Q = 0, chi_m = 0 emitters.
+    for Q = 0, chi_m = 0 emitters. Takes one emitter (a scalar xi_scale).
     """
     k_par = np.asarray(k_par_list, dtype=float)
     oblique = oblique_mode(mode, k_par)  # a batch of modes, one per k_par

@@ -156,6 +156,15 @@ class TestDressedPhotonFrequency:
             self.dressed(chi, mode, 100)
         assert err.value.value < 0
 
+    def test_magnetic_instability_of_a_xi_batch_is_nan(self):
+        # a batch over xi alone, at one omega_k: NaN entries, no raise
+        xis = np.array([0.0, 0.5])
+        e = Emitter(omega_m=0.1, mu=[1.0, 0, 0], xi_scale=xis, chi_m=-1e12 * np.eye(3))
+        c = derive_couplings(e, make_mode(omega=0.1, eta=1e-3), 100)
+        for name in ("omega_k_bar", "omega_m_tilde", "g_tilde", "xi_tilde", "f1", "f2"):
+            value = getattr(c, name)
+            assert value.shape == (2,) and np.all(np.isnan(value)), name
+
     def test_asymmetric_tensor_rejected(self):
         chi = np.zeros((3, 3))
         chi[0, 1] = 1.0

@@ -10,7 +10,7 @@ from chiralpol.couplings import (
     orientation_averaged_coupling_sq,
     sample_orientation_coupling,
 )
-from chiralpol.emitters import Emitter, check_reciprocity, chiral_tdm_vector, rotate
+from chiralpol.emitters import Emitter, chiral_tdm_vector, rotate
 from chiralpol.fields import CavityMode
 
 
@@ -82,14 +82,29 @@ class TestEmitterValidation:
             Emitter(omega_m=0.1, mu=np.array([1.0 + 0.2j, 0, 0]))
 
     def test_complex_xi_scale_rejected(self):
-        with pytest.raises(ValueError, match="reciprocity"):
-            Emitter(omega_m=0.1, mu=[1, 0, 0], xi_scale=1.0 + 0.1j)
+        # as a scalar and as one entry of a batch
+        for xi_scale in (1.0 + 0.1j, np.array([0.5, 1.0 + 0.1j, -0.5])):
+            with pytest.raises(ValueError, match="reciprocity"):
+                Emitter(omega_m=0.1, mu=[1, 0, 0], xi_scale=xi_scale)
+
+    def test_real_xi_scales_accepted(self):
+        assert Emitter(omega_m=0.1, mu=[1, 0, 0], xi_scale=1.0 + 0j).xi_scale == 1.0
+        batch = Emitter(omega_m=0.1, mu=[1, 0, 0], xi_scale=np.array([0.5, -1.0 + 0j]))
+        assert batch.xi_scale.dtype == float
+        assert list(batch.xi_scale) == [0.5, -1.0]
 
     def test_non_orthogonal_rotation_rejected(self):
         bad = np.eye(3)
         bad[0, 0] = 2.0
         with pytest.raises(ValueError, match="orthogonal"):
             Emitter(omega_m=0.1, mu=[1, 0, 0], xi_rotation=bad)
+
+    def test_scaled_column_rejected_with_its_defect(self):
+        # U'U = diag(4, 1, 1): the defect is |4 - 1| = 3
+        bad = np.eye(3)
+        bad[:, 0] *= 2.0
+        with pytest.raises(ValueError, match=r"not orthogonal \(defect 3\.000e\+00\)"):
+            Emitter(omega_m=0.1, mu=[1, 0, 0], xi_scale=1.0, xi_rotation=bad)
 
     def test_asymmetric_quadrupole_rejected(self):
         bad = np.zeros((3, 3))
@@ -146,23 +161,6 @@ class TestChiralTdmVector:
         e = Emitter(omega_m=0.1, mu=[0.0, 0, 0], xi_scale=1.0, roll_delta=0.3)
         with pytest.raises(ValueError, match="axis"):
             chiral_tdm_vector(e)
-
-
-class TestReciprocity:
-    def test_real_scale_ok(self):
-        assert check_reciprocity(1.0, np.eye(3)).ok
-
-    def test_imaginary_scale_flagged(self):
-        result = check_reciprocity(1.0 + 0.1j, np.eye(3))
-        assert not result.ok
-        assert result.imag_magnitude == pytest.approx(0.1)
-
-    def test_scaled_column_flagged(self):
-        bad = np.eye(3)
-        bad[:, 0] *= 2.0
-        result = check_reciprocity(1.0, bad)
-        assert not result.ok
-        assert result.orthogonality_defect > 1e-10
 
 
 class TestOrientationAverage:

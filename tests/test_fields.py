@@ -11,8 +11,8 @@ from chiralpol.fields import (
     optical_chirality_density,
     polarization_gradient,
     standing_wave_polarization,
-    standing_wave_polarization_oblique,
 )
+from reference_forms import standing_wave_polarization_oblique
 
 
 def make_mode(lam=1, omega=1.0, eta=0.001, k_z=1.0, z=0.0, theta=0.0):

@@ -20,7 +20,6 @@ from chiralpol.couplings import DerivedCouplings
 from chiralpol.fock_oracle import (
     FockConfig,
     _sector_band,
-    build_fock_hamiltonian,
     fit_ladder,
     low_levels,
     oracle_check,
@@ -32,6 +31,7 @@ from chiralpol.scans import (
     run_oracle_suite,
     sample_stable_couplings,
 )
+from reference_forms import build_fock_hamiltonian
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 

@@ -8,19 +8,19 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from chiralpol.couplings import DerivedCouplings, InstabilityError, derive_couplings
-from chiralpol.emitters import Emitter
+from chiralpol.emitters import Emitter, rotate
 from chiralpol.fields import CavityMode
 from chiralpol.hopfield import (
     SYMPLECTIC_METRIC,
     PolaritonInstabilityError,
     discrimination,
-    dynamical_matrix,
     find_critical_n,
     hopfield_coefficients,
     polariton_frequencies,
     solve_polaritons,
     stability_factors,
 )
+from reference_forms import dynamical_matrix
 
 
 def couplings(w_photon=1.0, w_matter=1.0, g=0.1, xi=0.0, lam=1, n=1):
@@ -427,22 +427,27 @@ class TestBatches:
         omegas=st.lists(st.floats(0.05, 0.2), min_size=1, max_size=3),
         quadrupole=st.lists(st.floats(-20.0, 20.0), min_size=9, max_size=9),
         chi_m=st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9),
+        rotvec=st.lists(st.floats(-4.0, 4.0), min_size=3, max_size=3),
+        roll_delta=st.just(0.0) | st.floats(0.0, 7.0),
         lam=st.sampled_from([1, -1]),
         selfpol=st.sampled_from(["collective", "local"]),
     )
     def test_batch_matches_batch_of_one(
-        self, log_eta, n_exps, xis, omegas, quadrupole, chi_m, lam, selfpol
+        self, log_eta, n_exps, xis, omegas, quadrupole, chi_m, rotvec, roll_delta, lam, selfpol
     ):
         quad, chi = (np.reshape(m, (3, 3)) for m in (quadrupole, chi_m))
-        emitters = [
-            Emitter(0.1, [2.0, 0.3, 0.0], quad + quad.T, xi, chi_m=chi + chi.T) for xi in xis
-        ]
+        # the rotation matrix of rotvec: the turned basis vectors as columns
+        rotation = rotate(rotvec, np.eye(3)).T
+        emitter = Emitter(
+            0.1, [2.0, 0.3, 0.0], quad + quad.T, np.array(xis), rotation, roll_delta, chi + chi.T
+        )
+        emitters = [dataclasses.replace(emitter, xi_scale=xi) for xi in xis]
         mode = CavityMode(handedness=lam, omega_k=0.1, eta=10.0**log_eta, k_z=0.05, z=7.0)
         n_values = np.array([int(2.0**e) for e in n_exps])
         omegas = np.array(omegas)
 
         grid = dataclasses.replace(mode, omega_k=omegas[:, None])
-        c = derive_couplings(emitters, grid, n_values[0], selfpol)
+        c = derive_couplings(emitter, grid, n_values[0], selfpol)
         sol = solve_polaritons(c)
         for (i, j), upper in np.ndenumerate(sol.omega_plus):
             try:

@@ -13,6 +13,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from chiralpol import hopfield, scans
@@ -193,3 +194,20 @@ def test_stage_calls_do_not_grow_with_the_point_count(stage_calls, scan, default
         per_size.append(dict(stage_calls))
     assert per_size[0] == per_size[1]
     assert sum(per_size[0].values()) <= 3
+
+
+@pytest.mark.parametrize("xi_points", ["1", "2", "21", "101"])
+def test_scan_cavity_builds_one_emitter_batch(monkeypatch, xi_points):
+    # the reference emitter that checks the inputs, then one emitter whose
+    # xi_scale is the whole xi axis
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(kwargs.get("xi_scale"))
+        return emitter(*args, **kwargs)
+
+    emitter = scans.Emitter
+    monkeypatch.setattr(scans, "Emitter", counted)
+    scans.scan_cavity({**scans.CAVITY_DEFAULTS, "xi_points": xi_points})
+    assert len(built) == 2
+    assert np.shape(built[1]) == (int(xi_points),)

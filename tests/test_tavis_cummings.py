@@ -12,10 +12,10 @@ from chiralpol.fields import (
     SPEED_OF_LIGHT_AU,
     CavityMode,
     oblique_mode,
-    standing_wave_polarization_oblique,
 )
 from chiralpol.hopfield import polariton_frequencies
 from chiralpol.tavis_cummings import dispersion_scan, single_excitation_spectrum
+from reference_forms import standing_wave_polarization_oblique
 
 
 def couplings(w_photon=1.0, g_bar=0.01, xi_bar=0.0, lam=1):
