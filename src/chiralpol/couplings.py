@@ -185,9 +185,9 @@ def derive_couplings(
     decoupled flag instead of an error, so orientation scans do not abort.
 
     Batches broadcast entry by entry: emitter.xi_scale, mode.omega_k and
-    n_emitters may be arrays. An emitter with scalar xi_scale, omega_k and
-    N is a batch of one: it returns Python scalars and raises
-    MagneticInstabilityError where a batch holds a NaN entry.
+    n_emitters may be arrays. A scalar xi_scale, omega_k and N make a batch
+    of one: it returns Python scalars and raises MagneticInstabilityError
+    where a batch holds a NaN entry.
     """
     if selfpol not in ("collective", "local"):
         raise ValueError(f"selfpol must be 'collective' or 'local', got {selfpol!r}")
