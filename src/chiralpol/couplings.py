@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .emitters import Emitter, chiral_tdm_vector, rotate
+from .emitters import Emitter, chiral_tdm_vector, require_one_xi, rotate
 from .fields import CavityMode, polarization_gradient, standing_wave_polarization
 
 
@@ -35,8 +35,9 @@ class MagneticInstabilityError(InstabilityError):
     """Self-magnetization drove the dressed photon frequency squared negative."""
 
 
-def float_policy(stage: str):
-    """The package's floating-point policy, as a context for NumPy arrays.
+def elementwise(func):
+    """Evaluate func under the package's floating-point policy, as the stage
+    named <module>.<function>.
 
     An overflow raises OverflowError, as Python's float ** does, with a
     message that names the innermost such stage ("numeric overflow in
@@ -44,21 +45,14 @@ def float_policy(stage: str):
     computed on and then masked, so invalid operations and divisions by zero
     there stay silent.
     """
+    stage = f"{func.__module__.rsplit('.', 1)[-1]}.{func.__qualname__}"
 
     def overflow(kind, flag):
         raise OverflowError(f"numeric {kind} in {stage}")
 
-    return np.errstate(over="call", call=overflow, invalid="ignore", divide="ignore")
-
-
-def elementwise(func):
-    """Evaluate func under the floating-point policy, as the stage named
-    <module>.<function>."""
-    stage = f"{func.__module__.rsplit('.', 1)[-1]}.{func.__qualname__}"
-
     @functools.wraps(func)
     def inner(*args, **kwargs):
-        with float_policy(stage):
+        with np.errstate(over="call", call=overflow, invalid="ignore", divide="ignore"):
             return func(*args, **kwargs)
 
     return inner
@@ -311,6 +305,7 @@ def sample_orientation_coupling(
     fixed seed; converges to orientation_averaged_coupling_sq. Takes one
     emitter: a scalar xi_scale.
     """
+    require_one_xi(emitter, "sample_orientation_coupling")
     if n_samples < 100:
         raise ValueError(f"n_samples must be at least 100, got {n_samples}")
     eps = standing_wave_polarization(mode)

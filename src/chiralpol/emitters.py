@@ -83,6 +83,16 @@ class Emitter:
         return cls(omega_m=omega_m, mu=mu, xi_scale=xi, **kwargs)
 
 
+def require_one_xi(emitter: Emitter, caller: str) -> None:
+    """Reject a batch of emitters (an array xi_scale) in caller, which takes
+    one."""
+    if np.ndim(emitter.xi_scale):
+        raise ValueError(
+            f"{caller} takes one emitter (a scalar xi_scale), "
+            f"got an xi_scale array of shape {np.shape(emitter.xi_scale)}"
+        )
+
+
 def rotate(rotvec, v) -> np.ndarray:
     """v turned by the rotation vector theta*k (Rodrigues' formula),
     v cos(theta) + (k x v) sin(theta) + k (k.v)(1 - cos(theta)).

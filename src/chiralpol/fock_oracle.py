@@ -234,20 +234,6 @@ class LadderFit:
     levels_read: int
 
 
-def _match_tol(e0: float, om: float, tol: float) -> float:
-    """The absolute tolerance within which fit_ladder takes two gaps as equal."""
-    return 10.0 * tol * (abs(e0) + om)
-
-
-def _onset(gaps, om: float, match_tol: float) -> Optional[int]:
-    """Index of the first gap off the pure soft ladder om, 2 om, 3 om, ...,
-    or None when every gap is on it."""
-    for index, gap in enumerate(gaps):
-        if abs(gap - (index + 1) * om) > match_tol:
-            return index
-    return None
-
-
 def fit_ladder(levels, tol: float) -> LadderFit:
     levels = np.sort(np.asarray(levels, dtype=float))
     if levels.size < 4:
@@ -256,14 +242,17 @@ def fit_ladder(levels, tol: float) -> LadderFit:
     om = float(gaps[0])
     if om <= 0:
         raise ValueError("first gap is nonpositive; spectrum is not a ladder")
-    match_tol = _match_tol(float(levels[0]), om, tol)
+    match_tol = 10.0 * tol * (abs(float(levels[0])) + om)  # two gaps this close are equal
 
     # Walk up the pure soft ladder om, 2 om, 3 om, ...; the first position
     # that breaks the pattern marks the onset of the stiff gap, either as a
     # new value or as an extra copy of a commensurate rung. Restricting the
     # fit to a small window around it keeps unconverged high rungs (whose
     # occupations approach the cutoff) out of the comparison.
-    onset = _onset(gaps, om, match_tol)
+    onset = next(
+        (index for index, gap in enumerate(gaps) if abs(gap - (index + 1) * om) > match_tol),
+        None,
+    )
     if onset is None:
         # stiff gap beyond the retained window: not identifiable
         return LadderFit(om, om, float("inf"), False, True, levels.size)
@@ -297,13 +286,11 @@ def fit_ladder(levels, tol: float) -> LadderFit:
 
 def _sized_count(analytic_plus: float, analytic_minus: float, tol: float) -> int:
     """Levels to solve for a set: the levels fit_ladder reads on the set's
-    analytic ladder E0 + n Omega- + m Omega+ (E0 and the gaps up to
-    RUNGS_PAST_ONSET past the stiff gap's onset), plus two spare, at most
+    analytic ladder E0 + n Omega- + m Omega+, plus two spare, at most
     FULL_COUNT."""
-    extra = RUNGS_PAST_ONSET + 1 + 2
-    # the onset is at least Omega+/Omega- - 1 gaps up; this also keeps
-    # _lattice finite when Omega- is 0 or NaN
-    if not analytic_plus < (FULL_COUNT - extra + 1) * analytic_minus:
+    # the stiff gap's onset is at least Omega+/Omega- - 1 gaps up; this also
+    # keeps _lattice finite when Omega- is 0 or NaN
+    if not analytic_plus < (FULL_COUNT - RUNGS_PAST_ONSET - 2) * analytic_minus:
         return FULL_COUNT
     gaps = _lattice(
         analytic_minus,
@@ -312,8 +299,8 @@ def _sized_count(analytic_plus: float, analytic_minus: float, tol: float) -> int
         count=FULL_COUNT,
     )
     e0 = 0.5 * (analytic_plus + analytic_minus)
-    onset = _onset(gaps, analytic_minus, _match_tol(e0, analytic_minus, tol))
-    return FULL_COUNT if onset is None else min(FULL_COUNT, onset + extra)
+    ladder = e0 + np.concatenate(([0.0], gaps))
+    return min(FULL_COUNT, fit_ladder(ladder, tol).levels_read + 2)
 
 
 @dataclass(frozen=True)

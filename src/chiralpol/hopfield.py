@@ -31,7 +31,7 @@ from .couplings import (
     scalar_or_array,
     square,
 )
-from .emitters import Emitter
+from .emitters import Emitter, require_one_xi
 from .fields import CavityMode
 
 SYMPLECTIC_METRIC = np.diag([1.0, -1.0, 1.0, -1.0])
@@ -235,6 +235,7 @@ def discrimination(
     differences are then arrays, NaN where either enantiomer is unstable; a
     batch of one raises instead.
     """
+    require_one_xi(emitter, "discrimination")
     c = derive_couplings(emitter, mode, n_emitters, selfpol)
     mirror = dataclasses.replace(c, xi_tilde=-c.xi_tilde, xi_bar=-c.xi_bar)
     if emitter.xi_scale < 0.0:
@@ -255,7 +256,9 @@ def discrimination(
 
 
 def find_critical_n(emitter: Emitter, mode: CavityMode, n_values) -> int | None:
-    """First N in n_values at which the local model is unstable, else None."""
+    """First N in n_values at which the local model is unstable, else None.
+    Takes one emitter (a scalar xi_scale)."""
+    require_one_xi(emitter, "find_critical_n")
     n_values = np.array(n_values)
     c = derive_couplings(emitter, mode, n_values, selfpol="local")
     unstable = np.flatnonzero(np.isnan(polariton_frequencies(c)[0]))

@@ -32,7 +32,6 @@ from .couplings import (
     InstabilityError,
     derive_couplings,
     elementwise,
-    float_policy,
 )
 from .emitters import Emitter, chiral_tdm_vector
 from .fields import SPEED_OF_LIGHT_AU, CavityMode
@@ -124,39 +123,47 @@ def _checked(compute: Callable):
 
 
 def _stage(values: dict, compute: Callable[[dict], object]):
-    """compute(values) under `_checked`. An overflow that goes away when mu
-    is scaled down to unit size is reported as an overflow in mu: without a
-    roll, the reference check in `_system_from` does no arithmetic on |mu|,
-    so a huge mu first overflows in a scan stage, whose error names only
-    the stage."""
+    """compute(values) under `_checked`, with an overflow named by its key.
+
+    On an OverflowError, compute runs again with the emitter keys at neutral
+    values: identity xi_rotation, zero quadrupole and chi_m, no roll, and mu
+    divided by its largest |component| when that is above 1. If that runs,
+    the keys go back one at a time, in the order the emitter checks them,
+    and the first whose own value brings the failure back is named
+    ("numeric overflow in chi_m"). Otherwise the stage's own error stands.
+    """
     try:
         return _checked(lambda: compute(values))
     except OverflowError as err:
-        if not _runs_at_unit_mu(values, compute):
-            raise
-        raise OverflowError("numeric overflow in mu") from err
+        size = np.max(np.abs(values["mu"]))
+        trial = {
+            **values,
+            "xi_rotation": np.eye(3),
+            "quadrupole": np.zeros((3, 3)),
+            "chi_m": np.zeros((3, 3)),
+            "roll_delta": 0.0,
+            "mu": values["mu"] / size if size > 1.0 else values["mu"],
+        }
+        if _runs(compute, trial):
+            for key in ("xi_rotation", "quadrupole", "chi_m", "roll_delta", "mu"):
+                trial[key] = values[key]
+                if not _runs(compute, trial):
+                    raise OverflowError(f"numeric overflow in {key}") from err
+        raise
 
 
-def _runs_at_unit_mu(values: dict, compute: Callable[[dict], object]) -> bool:
-    """Whether compute runs clean on values with mu divided by its largest
-    |component|, when that is above 1."""
-    size = np.max(np.abs(values["mu"]))
-    if not size > 1.0:
-        return False
+def _runs(compute: Callable[[dict], object], values: dict) -> bool:
+    """Whether compute(values) runs without a failure."""
     try:
-        compute({**values, "mu": values["mu"] / size})
+        compute(values)
     except (ArithmeticError, ValueError, InstabilityError):
-        return False  # a failure at unit size leaves the overflow to the stage
+        return False
     return True
 
 
 def _auto(table: dict, key: str, value: float) -> float:
     """value where the key reads 'auto', else the key's own number."""
     return value if table[key] == "auto" else config_float(table, key)
-
-
-# the system keys whose checks the reference emitter runs, in its order
-_EMITTER_KEYS = ("xi_rotation", "quadrupole", "chi_m", "roll_delta", "mu")
 
 
 @elementwise
@@ -166,7 +173,9 @@ def _system_from(table: dict) -> dict:
     One reference emitter and mode run the model's own input checks
     (omega_m > 0, orthogonal xi_rotation, a roll axis, handedness +-1, ...)
     under the package floating-point policy, so an input that overflows
-    there is one error that names its key, and no warning.
+    there is one error and no warning. The emitter's check runs through
+    `_stage`, whose rerun rule names the key that overflowed, as it does for
+    a scan stage.
     """
     omega_m = config_float(table, "omega_m")
     system = {
@@ -183,25 +192,9 @@ def _system_from(table: dict) -> dict:
         "roll_delta": config_float(table, "roll_delta"),
         "z": config_float(table, "z"),
     }
-    try:
-        _checked(lambda: chiral_tdm_vector(_emitter(system, 0.0)))
-    except OverflowError:
-        _raise_for_overflowing_key(system)
-        raise
+    _stage(system, lambda v: chiral_tdm_vector(_emitter(v, 0.0)))
     _checked(lambda: _mode(system, omega_m))
     return system
-
-
-def _raise_for_overflowing_key(system: dict) -> None:
-    """Re-run the reference emitter's checks with the keys joining a neutral
-    emitter (unit mu, no roll) one by one, in the order it checks them, each
-    under the floating-point policy named for the key: the first whose check
-    overflows raises that error."""
-    neutral = {"omega_m": system["omega_m"], "mu": np.ones(3)}
-    for key in _EMITTER_KEYS:
-        neutral[key] = system[key]
-        with float_policy(key):
-            chiral_tdm_vector(Emitter(**neutral))
 
 
 def _emitter(values: dict, xi) -> Emitter:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .couplings import DerivedCouplings, elementwise
-from .emitters import Emitter, chiral_tdm_vector
+from .emitters import Emitter, chiral_tdm_vector, require_one_xi
 from .fields import CavityMode, oblique_mode
 from .scantable import ScanTable
 
@@ -86,6 +86,7 @@ def dispersion_scan(
     k_par = 0 row reproduces the vertical-mode single-excitation spectrum
     for Q = 0, chi_m = 0 emitters. Takes one emitter (a scalar xi_scale).
     """
+    require_one_xi(emitter, "dispersion_scan")
     k_par = np.asarray(k_par_list, dtype=float)
     oblique = oblique_mode(mode, k_par)  # a batch of modes, one per k_par
     # |eps . (mu + lambda m)| in real arithmetic, with the oblique polarization

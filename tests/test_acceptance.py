@@ -6,7 +6,6 @@ import time
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from chiralpol.couplings import (
     DerivedCouplings,

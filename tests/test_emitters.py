@@ -12,6 +12,8 @@ from chiralpol.couplings import (
 )
 from chiralpol.emitters import Emitter, chiral_tdm_vector, rotate
 from chiralpol.fields import CavityMode
+from chiralpol.hopfield import discrimination, find_critical_n
+from chiralpol.tavis_cummings import dispersion_scan
 
 
 def make_mode(lam=1, omega=0.1, eta=0.001, z=0.0):
@@ -115,6 +117,24 @@ class TestEmitterValidation:
     def test_nonpositive_frequency_rejected(self):
         with pytest.raises(ValueError, match="omega_m"):
             Emitter(omega_m=0.0, mu=[1, 0, 0])
+
+    one_xi_calls = {
+        "discrimination": lambda e, mode: discrimination(e, mode, 100),
+        "find_critical_n": lambda e, mode: find_critical_n(e, mode, [1, 2, 4]),
+        "dispersion_scan": lambda e, mode: dispersion_scan(e, mode, [0.0, 1e-4], 100),
+        "sample_orientation_coupling": lambda e, mode: sample_orientation_coupling(
+            e, mode, 100, seed=1, n_samples=200
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(one_xi_calls))
+    def test_a_one_xi_function_rejects_a_xi_batch_by_name(self, name):
+        # each runs on one entry of the batch
+        call = self.one_xi_calls[name]
+        call(Emitter(omega_m=0.1, mu=[2, 0, 0], xi_scale=0.5), make_mode())
+        batch = Emitter(omega_m=0.1, mu=[2, 0, 0], xi_scale=np.array([0.5, -0.5]))
+        with pytest.raises(ValueError, match=rf"^{name} takes one emitter .* shape \(2,\)"):
+            call(batch, make_mode())
 
     def test_collinear_constructor(self):
         e = Emitter.collinear(omega_m=0.1, mu=[0, 0, 2.0], xi=0.5)

@@ -1,7 +1,6 @@
 import dataclasses
 import os
 import re
-import signal
 import subprocess
 import sys
 import time

@@ -1,7 +1,8 @@
 """Structural guards: every import in the package sits at module level, so a
 dependency cycle between its modules cannot hide inside a function body;
-the scan subcommands load no SciPy submodule, no process-pool machinery and
-no numpy.random; the names the traced benchmark rebinds still exist and its
+no module of the package or of the tests imports a name it never uses; the
+scan subcommands load no SciPy submodule, no process-pool machinery and no
+numpy.random; the names the traced benchmark rebinds still exist and its
 smoke run passes; and each scan evaluates its points in batches, not point
 by point."""
 
@@ -36,6 +37,25 @@ def test_no_imports_inside_function_bodies():
                     if isinstance(node, (ast.Import, ast.ImportFrom))
                 )
     assert not found, f"imports inside function bodies: {sorted(found)}"
+
+
+def test_no_unused_imports():
+    # an AST walk, since no linter is a dependency: a name bound by an import
+    # must be read somewhere in its module (the package's __init__ re-exports)
+    paths = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+    paths += sorted((REPO / "tests").glob("*.py"))
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                found += [
+                    f"{path.name}:{node.lineno} {alias.asname or alias.name}"
+                    for alias in node.names
+                    if (alias.asname or alias.name.split(".")[0]) not in used
+                ]
+    assert not found, f"unused imports: {found}"
 
 
 def test_scan_subcommands_load_no_scipy_submodules():

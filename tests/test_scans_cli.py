@@ -200,6 +200,11 @@ class TestExitCodes:
         (["scan-n", "--set", "mu=1e300,0,0"], "mu"),
         (["scan-cavity", "--set", "mu=1e300,0,0"], "mu"),
         (["scan-dispersion", "--set", "mu=1e300,0,0"], "mu"),
+        (["scan-n", "--set", "chi_m=1e200,0,0,0,0,0,0,0,0"], "chi_m"),
+        (
+            ["scan-cavity", "--set", "quadrupole=0,0,1e200,0,0,0,1e200,0,0", "--set", "z=3"],
+            "quadrupole",
+        ),
     ]
 
     @pytest.mark.parametrize(
@@ -209,8 +214,8 @@ class TestExitCodes:
     )
     def test_system_check_overflow_is_one_line_without_warnings(self, argv, key):
         # the reference emitter's |mu|, U'U or Q - Q' overflows before any
-        # scan runs, or, without a roll, a huge mu overflows in the scan
-        # stage; either way the error names the key
+        # scan runs, or a huge mu, Q or chi_m overflows only in a scan stage;
+        # either way the rerun with the emitter keys put back names the key
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = run_cli(argv)
