@@ -16,7 +16,6 @@ from .fields import (
     SPEED_OF_LIGHT_AU,
     CavityMode,
     oblique_mode,
-    optical_chirality_density,
     polarization_gradient,
     standing_wave_polarization,
 )

@@ -3,8 +3,9 @@
 Subcommands: scan-cavity, scan-n, scan-dispersion, oracle. Each reads an
 optional flat `key = value` config file, applies repeatable --set overrides,
 and writes a deterministic CSV (stdout by default). Exit codes: 0 ok,
-1 config error, 2 the run's own check failed (oracle deviation above tol),
-3 instability rows present with --strict.
+1 config error or a run too large for the memory available, 2 the run's own
+check failed (oracle deviation above tol), 3 instability rows present with
+--strict.
 """
 
 import argparse
@@ -81,6 +82,9 @@ def main(argv=None) -> int:
         # the package's own overflows say where; Python's float ** does not
         detail = err if "numeric overflow" in str(err) else f"numeric overflow ({err})"
         print(f"config error: {detail}", file=sys.stderr)
+        return 1
+    except MemoryError as err:
+        print(f"config error: out of memory ({str(err) or 'no detail'})", file=sys.stderr)
         return 1
 
     if args.out:

@@ -73,14 +73,9 @@ class Emitter:
             object.__setattr__(self, name, mat)
 
     @classmethod
-    def collinear(cls, omega_m, mu, xi, quadrupole=None, chi_m=None) -> "Emitter":
+    def collinear(cls, omega_m, mu, xi) -> "Emitter":
         """Scalar collinear case m = -i c xi mu: s = xi, U = identity, delta = 0."""
-        kwargs = {}
-        if quadrupole is not None:
-            kwargs["quadrupole"] = quadrupole
-        if chi_m is not None:
-            kwargs["chi_m"] = chi_m
-        return cls(omega_m=omega_m, mu=mu, xi_scale=xi, **kwargs)
+        return cls(omega_m=omega_m, mu=mu, xi_scale=xi)
 
 
 def require_one_xi(emitter: Emitter, caller: str) -> None:

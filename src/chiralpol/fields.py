@@ -82,16 +82,6 @@ def polarization_gradient(mode: CavityMode) -> np.ndarray:
     return grad
 
 
-def optical_chirality_density(mode: CavityMode) -> float:
-    """Vacuum optical chirality density of the mode, lambda*omega_k*k_z*eta^2/4.
-
-    Normalization: eta^2 supplies the 1/(eps0*V) factor, i.e. the returned
-    value is eps0 times the physical density lambda*omega_k*k_z/(4V).
-    Linear in the handedness; vanishes in the infinite-volume limit eta -> 0.
-    """
-    return mode.handedness * mode.omega_k * mode.k_z * mode.eta**2 / 4.0
-
-
 def oblique_mode(base: CavityMode, k_par) -> CavityMode:
     """Mode with in-plane momentum k_par on the dispersion omega = c*|k|.
 

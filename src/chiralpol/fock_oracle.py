@@ -57,19 +57,20 @@ RUNGS_PAST_ONSET = 5  # gaps the ladder fit compares past the stiff gap's onset
 
 @dataclass(frozen=True)
 class FockConfig:
-    """cutoff: max occupation per mode; tol: relative acceptance tolerance on
-    the polariton frequencies."""
+    """fock_cutoff: max occupation per mode; fock_tol: relative acceptance
+    tolerance on the polariton frequencies. The names are the oracle's config
+    keys, so an error names the key to change."""
 
-    cutoff: int = 40
-    tol: float = 1e-8
+    fock_cutoff: int = 40
+    fock_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.cutoff < 4:
-            raise ValueError(f"cutoff must be at least 4, got {self.cutoff}")
-        if self.cutoff > MAX_CUTOFF:
-            raise ValueError(f"cutoff must be at most {MAX_CUTOFF}, got {self.cutoff}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if self.fock_cutoff < 4:
+            raise ValueError(f"fock_cutoff must be at least 4, got {self.fock_cutoff}")
+        if self.fock_cutoff > MAX_CUTOFF:
+            raise ValueError(f"fock_cutoff must be at most {MAX_CUTOFF}, got {self.fock_cutoff}")
+        if not self.fock_tol > 0:
+            raise ValueError(f"fock_tol must be positive, got {self.fock_tol}")
 
 
 def _sector_band(c: DerivedCouplings, cutoff: int, parity: int) -> np.ndarray:
@@ -318,7 +319,6 @@ class OracleReport:
     ladder_residual: float
     degenerate: bool
     ambiguous: bool
-    cutoff: int
     converged: Optional[bool] = None
     omega_plus_doubled: Optional[float] = None
     omega_minus_doubled: Optional[float] = None
@@ -344,11 +344,11 @@ def oracle_check(
     """
     sets = [c] if isinstance(c, DerivedCouplings) else list(c)
     analytic = [hopfield.polariton_frequencies(s) for s in sets]
-    counts = [_sized_count(plus, minus, config.tol) for plus, minus in analytic]
+    counts = [_sized_count(plus, minus, config.fock_tol) for plus, minus in analytic]
 
     def gaps_at(cutoff: int):
         levels = low_levels(sets, cutoff, counts)
-        fits = [fit_ladder(row, config.tol) for row in levels]
+        fits = [fit_ladder(row, config.fock_tol) for row in levels]
         again = [
             i
             for i, (row, fit) in enumerate(zip(levels, fits))
@@ -356,7 +356,7 @@ def oracle_check(
         ]
         if again:
             for i, row in zip(again, low_levels([sets[i] for i in again], cutoff)):
-                levels[i], fits[i] = row, fit_ladder(row, config.tol)
+                levels[i], fits[i] = row, fit_ladder(row, config.fock_tol)
         gaps = []
         for row, fit, (analytic_plus, analytic_minus) in zip(levels, fits, analytic):
             dev_plus = abs(fit.omega_plus - analytic_plus) / analytic_plus
@@ -366,8 +366,8 @@ def oracle_check(
             gaps.append((row, fit, dev_plus, dev_minus))
         return gaps
 
-    main = gaps_at(config.cutoff)
-    doubled = gaps_at(2 * config.cutoff) if check_convergence else [None] * len(sets)
+    main = gaps_at(config.fock_cutoff)
+    doubled = gaps_at(2 * config.fock_cutoff) if check_convergence else [None] * len(sets)
     reports = []
     for (analytic_plus, analytic_minus), (levels, fit, dev_plus, dev_minus), gaps2 in zip(
         analytic, main, doubled
@@ -385,14 +385,13 @@ def oracle_check(
             ladder_residual=fit.residual,
             degenerate=fit.degenerate,
             ambiguous=fit.ambiguous,
-            cutoff=config.cutoff,
         )
         if gaps2 is not None:
             _, fit2, dev2_plus, dev2_minus = gaps2
             report.update(
                 converged=(
-                    dev2_plus <= max(dev_plus, config.tol)
-                    and dev2_minus <= max(dev_minus, config.tol)
+                    dev2_plus <= max(dev_plus, config.fock_tol)
+                    and dev2_minus <= max(dev_minus, config.fock_tol)
                 ),
                 omega_plus_doubled=fit2.omega_plus,
                 omega_minus_doubled=fit2.omega_minus,

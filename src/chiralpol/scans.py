@@ -254,6 +254,8 @@ def _grid(values: dict, axis: str) -> np.ndarray:
     _require(points <= np.iinfo(np.intp).max // 8, key, points, "too many points for one array")
     if points == 1:
         return np.array([low])
+    # linspace steps across high - low, which must not overflow to inf
+    _require(np.isfinite(high - low), f"{axis}_max", high, f"too far from {axis}_min")
     grid = np.linspace(low, high, points)
     if low == -high:
         grid = 0.5 * (grid - grid[::-1])
@@ -446,10 +448,11 @@ def run_oracle_suite(table: dict) -> ScanTable:
     cutoff = config_int(table, "fock_cutoff")
     fock_tol = config_float(table, "fock_tol")
     tol = config_float(table, "tol")
+    _require(tol > 0, "tol", tol)
     check_convergence = config_bool(table, "check_convergence")
     seed = config_int(table, "seed")
     _require(seed >= 0, "seed", seed, "must be nonnegative")
-    fock_config = _checked(lambda: FockConfig(cutoff=cutoff, tol=fock_tol))
+    fock_config = _checked(lambda: FockConfig(fock_cutoff=cutoff, fock_tol=fock_tol))
 
     rng = np.random.default_rng(seed)
     max_ratio = _max_gap_ratio(cutoff)

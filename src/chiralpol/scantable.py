@@ -7,7 +7,6 @@ byte-identically and values round-trip exactly. An infinite cell raises
 OverflowError; NaN is allowed (it marks a check that did not run).
 """
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +51,3 @@ class ScanTable:
         # one %-format over every cell: "%.17g" % x is f"{x:.17g}" (format_number)
         line = ",".join(["%.17g"] * len(self.column_names)) + "\n"
         stream.write(line * len(self.rows) % tuple(self.rows.ravel().tolist()))
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        self.write(buf)
-        return buf.getvalue()

@@ -24,7 +24,7 @@ def build_fock_hamiltonian(c: DerivedCouplings, config: FockConfig) -> np.ndarra
         - i sqrt(N) g [(B' + B)(a - a') + xi lam (B' - B)(a + a')]
     with dressed frequencies; Hermitian by construction.
     """
-    dim = config.cutoff + 1
+    dim = config.fock_cutoff + 1
     single = np.eye(dim)
     a = np.kron(_destroy(dim), single)
     b = np.kron(single, _destroy(dim))

@@ -91,7 +91,7 @@ def test_criterion_2_clean_chiral_resonance():
     upper, lower = polariton_frequencies(c)
     assert upper == pytest.approx(1.2, abs=1e-12)
     assert lower == pytest.approx(0.8, abs=1e-12)
-    fock = oracle_check(c, FockConfig(cutoff=40), check_convergence=True)
+    fock = oracle_check(c, FockConfig(fock_cutoff=40), check_convergence=True)
     assert fock.converged
     assert abs(fock.omega_plus - 1.2) < 1e-8
     assert abs(fock.omega_minus - 0.8) < 1e-8

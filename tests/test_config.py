@@ -117,8 +117,9 @@ class TestScanTable:
             rows=((1.0, 2.0), (0.1, -3.5e-7)),
             metadata=(("command", "demo"), ("eta", "0.001")),
         )
-        text = table.to_csv()
-        lines = text.splitlines()
+        buf = io.StringIO()
+        table.write(buf)
+        lines = buf.getvalue().splitlines()
         assert lines[0] == "# command = demo"
         assert lines[1] == "# eta = 0.001"
         assert lines[2] == "x,y"

@@ -8,7 +8,6 @@ from chiralpol.fields import (
     SPEED_OF_LIGHT_AU,
     CavityMode,
     oblique_mode,
-    optical_chirality_density,
     polarization_gradient,
     standing_wave_polarization,
 )
@@ -151,25 +150,6 @@ class TestPolarizationGradient:
         grad = polarization_gradient(make_mode(lam=lam, k_z=k_z, z=z))
         assert_allclose(grad[2], numeric, atol=1e-6 * max(1.0, k_z**2))
         assert_allclose(grad[:2], 0.0)
-
-
-class TestChiralityDensity:
-    def test_left_handed_positive(self):
-        assert optical_chirality_density(make_mode(lam=1)) > 0
-
-    def test_odd_in_handedness(self):
-        left = optical_chirality_density(make_mode(lam=1))
-        right = optical_chirality_density(make_mode(lam=-1))
-        assert right == -left
-
-    def test_vanishes_with_infinite_volume(self):
-        assert optical_chirality_density(make_mode(eta=0.0)) == 0.0
-
-    def test_value(self):
-        mode = make_mode(lam=1, omega=2.0, eta=0.5, k_z=3.0)
-        assert optical_chirality_density(mode) == pytest.approx(
-            2.0 * 3.0 * 0.25 / 4.0
-        )
 
 
 class TestCavityMode:

@@ -67,7 +67,7 @@ def stable_random_couplings(rng):
 class TestHamiltonianBuild:
     def test_free_hamiltonian_is_diagonal(self):
         c = couplings(w_photon=0.9, w_matter=1.7, g=0.0)
-        h = build_fock_hamiltonian(c, FockConfig(cutoff=4))
+        h = build_fock_hamiltonian(c, FockConfig(fock_cutoff=4))
         assert_allclose(h, np.diag(np.diag(h)))
         dim = 5
         n_photon, n_matter = np.divmod(np.arange(dim * dim), dim)
@@ -75,7 +75,7 @@ class TestHamiltonianBuild:
         assert_allclose(np.diag(h).real, expected)
 
     def test_dimension_and_basis_order(self):
-        h = build_fock_hamiltonian(couplings(), FockConfig(cutoff=6))
+        h = build_fock_hamiltonian(couplings(), FockConfig(fock_cutoff=6))
         assert h.shape == (49, 49)
 
     @given(
@@ -86,7 +86,7 @@ class TestHamiltonianBuild:
     )
     @settings(max_examples=25, deadline=None)
     def test_hermiticity(self, w1, w2, g, xi):
-        h = build_fock_hamiltonian(couplings(w1, w2, g, xi), FockConfig(cutoff=5))
+        h = build_fock_hamiltonian(couplings(w1, w2, g, xi), FockConfig(fock_cutoff=5))
         assert np.linalg.norm(h - h.conj().T) == 0.0
 
     def test_cutoff_one_enumerated_by_hand(self):
@@ -94,7 +94,7 @@ class TestHamiltonianBuild:
         # counter-rotating (00<->11) and rotating (01<->10) pairs
         g, xi = 0.07, 0.4
         c = couplings(w_photon=1.1, w_matter=0.9, g=g, xi=xi)
-        h = build_fock_hamiltonian(c, FockConfig(cutoff=4))[:4, :4]
+        h = build_fock_hamiltonian(c, FockConfig(fock_cutoff=4))[:4, :4]
         # rebuild the 4x4 block by hand (cutoff=4 matrix restricted to
         # occupations {0,1} x {0,1} has the same entries as cutoff=1)
         expected = np.zeros((4, 4), dtype=complex)
@@ -108,7 +108,7 @@ class TestHamiltonianBuild:
         expected[2, 1] = 1j * g * (1 + xi)
         hand_indices = [0, 1, 5, 6]  # 00, 01, 10, 11 at cutoff 4
         assert_allclose(h[np.ix_([0, 1], [0, 1])], expected[:2, :2])
-        full = build_fock_hamiltonian(c, FockConfig(cutoff=4))
+        full = build_fock_hamiltonian(c, FockConfig(fock_cutoff=4))
         assert_allclose(
             full[np.ix_(hand_indices, hand_indices)], expected, atol=1e-15
         )
@@ -140,7 +140,7 @@ class TestHamiltonianBuild:
 
     def test_parity_blocks_do_not_mix(self):
         c = couplings(g=0.2, xi=0.5)
-        h = build_fock_hamiltonian(c, FockConfig(cutoff=5))
+        h = build_fock_hamiltonian(c, FockConfig(fock_cutoff=5))
         total = np.arange(36) // 6 + np.arange(36) % 6
         even, odd = np.where(total % 2 == 0)[0], np.where(total % 2 == 1)[0]
         assert np.linalg.norm(h[np.ix_(even, odd)]) == 0.0
@@ -158,7 +158,7 @@ class TestSpectrum:
 
     def test_clean_chiral_resonance_to_1e8(self):
         c = couplings(g=0.1, xi=1.0)
-        report = oracle_check(c, FockConfig(cutoff=40), check_convergence=False)
+        report = oracle_check(c, FockConfig(fock_cutoff=40), check_convergence=False)
         assert report.omega_plus == pytest.approx(1.2, abs=1e-8)
         assert report.omega_minus == pytest.approx(0.8, abs=1e-8)
         assert report.deviation_plus < 1e-8
@@ -166,19 +166,19 @@ class TestSpectrum:
 
     def test_achiral_resonance_matches_closed_form(self):
         c = couplings(g=0.1, xi=0.0)
-        report = oracle_check(c, FockConfig(cutoff=40), check_convergence=False)
+        report = oracle_check(c, FockConfig(fock_cutoff=40), check_convergence=False)
         assert report.omega_plus == pytest.approx(np.sqrt(1.2), rel=1e-8)
         assert report.omega_minus == pytest.approx(np.sqrt(0.8), rel=1e-8)
 
     def test_ladder_residual_within_ten_tol(self):
-        config = FockConfig(cutoff=30, tol=1e-8)
+        config = FockConfig(fock_cutoff=30, fock_tol=1e-8)
         rng = np.random.default_rng(42)
         for _ in range(5):
             c = stable_random_couplings(rng)
-            levels = low_levels(c, config.cutoff, count=7)
-            fit = fit_ladder(levels, config.tol)
+            levels = low_levels(c, config.fock_cutoff, count=7)
+            fit = fit_ladder(levels, config.fock_tol)
             scale = abs(levels[0]) + fit.omega_minus
-            assert fit.residual <= 10 * config.tol * scale
+            assert fit.residual <= 10 * config.fock_tol * scale
 
     def test_ground_state_chirality_difference_matches_analytic(self):
         # enantio-discriminating part of E0: compare xi -> -xi differences
@@ -223,7 +223,7 @@ class TestSpectrum:
 
     def test_convergence_flag_on_clean_case(self):
         c = couplings(g=0.1, xi=0.3)
-        report = oracle_check(c, FockConfig(cutoff=12), check_convergence=True)
+        report = oracle_check(c, FockConfig(fock_cutoff=12), check_convergence=True)
         assert report.converged
         assert report.omega_plus_doubled is not None
 
@@ -253,11 +253,11 @@ class TestSpectrum:
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="cutoff"):
-            FockConfig(cutoff=2)
+            FockConfig(fock_cutoff=2)
         with pytest.raises(ValueError, match="cutoff"):
-            FockConfig(cutoff=101)
+            FockConfig(fock_cutoff=101)
         with pytest.raises(ValueError, match="tol"):
-            FockConfig(tol=0.0)
+            FockConfig(fock_tol=0.0)
 
 
 class TestSoftModeSuite:
@@ -271,7 +271,7 @@ class TestSoftModeSuite:
             upper, lower = polariton_frequencies(c)
             if upper <= 12.0 * lower:
                 continue
-            report = oracle_check(c, FockConfig(cutoff=80), check_convergence=False)
+            report = oracle_check(c, FockConfig(fock_cutoff=80), check_convergence=False)
             assert not report.ambiguous, upper / lower
             worst = max(report.deviation_plus, report.deviation_minus, report.e0_deviation)
             assert worst <= 1e-7, (upper / lower, worst)
@@ -310,10 +310,38 @@ class TestSizedSolves:
         fit = fit_ladder([0.5 * k for k in range(9)], tol=1e-8)
         assert fit.ambiguous and fit.levels_read == 9
 
+    @pytest.mark.parametrize(
+        "plus, minus", [(41.0, 1.0), (1e300, 1.0), (1.0, np.nan), (1.0, 0.0)]
+    )
+    def test_a_stiff_gap_past_the_window_is_a_full_solve_without_a_ladder(
+        self, plus, minus, monkeypatch
+    ):
+        # at Omega+ >= 41 Omega- the onset lies past FULL_COUNT levels; the
+        # analytic ladder would be long, or endless where Omega- is 0 or NaN
+        def no_ladder(*args, **kwargs):
+            raise AssertionError("built an analytic ladder")
+
+        monkeypatch.setattr(fock_oracle, "_lattice", no_ladder)
+        assert fock_oracle._sized_count(plus, minus, 1e-8) == fock_oracle.FULL_COUNT
+
+    def test_a_near_commensurate_runner_up_makes_the_fit_ambiguous(self):
+        # Omega+ sits 1.5 match tolerances below the soft rung 5 Omega-, and
+        # one level is off by 0.8 of one: the best candidate fits within the
+        # tolerance, but 5 Omega- fits within twice its residual
+        tol, e0 = 1e-8, 0.7
+        match_tol = 10 * tol * (e0 + 1.0)
+        plus = 5.0 - 1.5 * match_tol
+        levels = e0 + np.array([0.0, 1, 2, 3, 4, plus, 5, plus + 1, 6, plus + 2, 7])
+        levels[9] += 0.8 * match_tol
+        fit = fit_ladder(levels, tol)
+        assert fit.omega_plus == plus
+        assert fit.residual <= match_tol
+        assert fit.ambiguous
+
     def test_an_undersized_solve_falls_back_to_the_full_report(self, asked, monkeypatch):
         rng = np.random.default_rng(1741)
         sets = [sample_stable_couplings(rng, _max_gap_ratio(16)) for _ in range(20)]
-        config = FockConfig(cutoff=16)
+        config = FockConfig(fock_cutoff=16)
 
         def reports(count):
             if count is not None:
@@ -413,7 +441,7 @@ class TestWorkerPool:
     def test_batch_equals_its_sets_one_by_one(self):
         rng = np.random.default_rng(5)
         sets = [sample_stable_couplings(rng) for _ in range(4)]
-        config = FockConfig(cutoff=12)
+        config = FockConfig(fock_cutoff=12)
         batch = low_levels(sets, 12, count=20)
         for c, row in zip(sets, batch):
             assert np.array_equal(row, low_levels(c, 12, count=20))
@@ -440,7 +468,7 @@ class TestWorkerPool:
         rng = np.random.default_rng(3)
         sets = [sample_stable_couplings(rng) for _ in range(3)]
         with pytest.raises(LinAlgError, match="band solver failed"):
-            oracle_check(sets, FockConfig(cutoff=24), check_convergence=False)
+            oracle_check(sets, FockConfig(fock_cutoff=24), check_convergence=False)
         assert started == [2]
         assert_no_child_left()
 

@@ -1,6 +1,10 @@
 import contextlib
 import io
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ from chiralpol.scans import (
     scan_n,
 )
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 SMALL_CAVITY = ["--set", "omega_k_points=5", "--set", "xi_points=5"]
 
 
@@ -169,6 +174,14 @@ class TestExitCodes:
             ["scan-dispersion", "--set", "n_emitters=18446744073709551616"],
             ["scan-dispersion", "--set", "k_par_points=9223372036854775807"],
             ["scan-cavity", "--set", "omega_k_points=100000000000000000000000"],
+            # xi_max - xi_min overflows to inf
+            [
+                "scan-cavity",
+                *("--set", "xi_min=-1e308", "--set", "xi_max=1e308"),
+                *("--set", "xi_points=3", "--set", "omega_k_points=2"),
+            ],
+            ["oracle", "--set", "tol=0"],
+            ["oracle", "--set", "tol=-1"],
         ],
         ids=lambda argv: "_".join(a for a in argv if a != "--set"),
     )
@@ -178,6 +191,40 @@ class TestExitCodes:
         assert err.startswith("config error:") and err.count("\n") == 1
         assert "Traceback" not in err
         assert out == ""
+
+    def test_a_fock_error_names_its_oracle_key(self):
+        code, _, err = run_cli(["oracle", "--set", "fock_tol=0"])
+        assert code == 1
+        assert err.startswith("config error: fock_tol ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan-dispersion", "--set", "k_par_points=10000000000"],
+            ["scan-cavity", "--set", "omega_k_points=100000", "--set", "xi_points=100000"],
+        ],
+        ids=["k_par_points", "omega_k_and_xi_points"],
+    )
+    def test_a_run_beyond_memory_is_a_one_line_config_error(self, argv):
+        # a child interpreter with a 2 GiB address space, so that the 74.5-GiB
+        # arrays fail at once on any host
+        script = (
+            "import resource, sys\n"
+            "from chiralpol import cli\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("config error: out of memory (")
+        assert result.stderr.count("\n") == 1
 
     @pytest.mark.parametrize(
         "setting", ["omega_m=1e300", "xi=1e308", "k_z=1e300", "eta=1e308 xi=-1"]
