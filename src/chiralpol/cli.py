@@ -3,13 +3,17 @@
 Subcommands: scan-cavity, scan-n, scan-dispersion, oracle. Each reads an
 optional flat `key = value` config file, applies repeatable --set overrides,
 and writes a deterministic CSV (stdout by default). Exit codes: 0 ok,
-1 config error or a run too large for the memory available, 2 the run's own
-check failed (oracle deviation above tol), 3 instability rows present with
---strict.
+1 config error: a bad key or value, an unreadable config file, an
+unwritable --out, a closed stdout, a failed oracle worker, a numeric
+overflow or a run too large for the memory available; 2 the run's own check
+failed (oracle deviation above tol), 3 instability rows present with
+--strict. `main` is the one place where an exception becomes an exit code.
 """
 
 import argparse
+import contextlib
 import functools
+import os
 import sys
 
 from .config import ConfigError, load_config_file, merge_config, parse_config_text
@@ -75,23 +79,23 @@ def main(argv=None) -> int:
         table_config = _effective_config(args)
         _, runner = SCAN_COMMANDS[args.command]
         table = runner(table_config)
-    except ConfigError as err:
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
+                table.write(handle)
+        else:
+            table.write(sys.stdout)
+            sys.stdout.flush()  # a closed pipe fails here, not at exit
+    except (ValueError, OverflowError, OSError) as err:
+        if isinstance(err, BrokenPipeError):
+            with contextlib.suppress(OSError):  # a stream with no descriptor
+                descriptor = sys.stdout.fileno()
+                # the interpreter flushes stdout at exit: to os.devnull, not the pipe
+                os.dup2(os.open(os.devnull, os.O_WRONLY), descriptor)
         print(f"config error: {err}", file=sys.stderr)
-        return 1
-    except OverflowError as err:
-        # the package's own overflows say where; Python's float ** does not
-        detail = err if "numeric overflow" in str(err) else f"numeric overflow ({err})"
-        print(f"config error: {detail}", file=sys.stderr)
         return 1
     except MemoryError as err:
         print(f"config error: out of memory ({str(err) or 'no detail'})", file=sys.stderr)
         return 1
-
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-            table.write(handle)
-    else:
-        table.write(sys.stdout)
 
     if table.failure:
         print(table.failure, file=sys.stderr)

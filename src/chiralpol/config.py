@@ -14,7 +14,7 @@ import numpy as np
 from .scantable import format_number
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     pass
 
 
@@ -41,7 +41,7 @@ def load_config_file(path) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config file {path}: {err}") from err
     return parse_config_text(text)
 

@@ -122,7 +122,7 @@ def _forked_map(func, tasks: list, workers: int) -> list:
     inherited nor runs exit handlers. The parent reads the pipes in chunk
     order and raises a child's exception as it is; a child that left no
     readable record (killed, crashed, or its record would not pickle) is a
-    RuntimeError. Every child is reaped before the call returns, and on an
+    ChildProcessError. Every child is reaped before the call returns, and on an
     error any child still running is killed first.
     """
     size = -(-len(tasks) // workers)
@@ -150,7 +150,7 @@ def _forked_map(func, tasks: list, workers: int) -> list:
             try:
                 ok, value = pickle.load(pipe)
             except (EOFError, pickle.UnpicklingError) as error:
-                raise RuntimeError(f"oracle worker {pid} left no readable result") from error
+                raise ChildProcessError(f"oracle worker {pid} left no readable result") from error
             if not ok:
                 raise value
             results.extend(value)
@@ -223,8 +223,9 @@ class LadderFit:
     E0 + n omega_minus + m omega_plus best reproduces the observed levels
     (multiplicities included). `degenerate` marks a doubly degenerate first
     gap (omega_plus = omega_minus); `ambiguous` marks near-commensurate or
-    unidentifiable ladders. `levels_read` counts the levels, from E0 up, that
-    the fit compared: every level it was given when no stiff gap showed.
+    unidentifiable ladders, and an unidentified one has a NaN residual.
+    `levels_read` counts the levels, from E0 up, that the fit compared:
+    every level it was given when no stiff gap showed.
     """
 
     omega_minus: float
@@ -256,7 +257,7 @@ def fit_ladder(levels, tol: float) -> LadderFit:
     )
     if onset is None:
         # stiff gap beyond the retained window: not identifiable
-        return LadderFit(om, om, float("inf"), False, True, levels.size)
+        return LadderFit(om, om, float("nan"), False, True, levels.size)
 
     window = gaps[: min(onset + RUNGS_PAST_ONSET, gaps.size)]
 
@@ -280,6 +281,8 @@ def fit_ladder(levels, tol: float) -> LadderFit:
         second_resid, second = scored[1]
         if second_resid < 2.0 * best_resid and abs(second - best) > match_tol:
             ambiguous = True
+    if not np.isfinite(best_resid):
+        best_resid = float("nan")  # no candidate ladder was long enough
     return LadderFit(
         om, om if degenerate else best, best_resid, degenerate, ambiguous, window.size + 1
     )
@@ -320,8 +323,6 @@ class OracleReport:
     degenerate: bool
     ambiguous: bool
     converged: Optional[bool] = None
-    omega_plus_doubled: Optional[float] = None
-    omega_minus_doubled: Optional[float] = None
 
 
 def oracle_check(
@@ -340,7 +341,7 @@ def oracle_check(
     (Omega+ + Omega-)/2, whose enantiomer difference is the discriminating
     Delta E_vac. With check_convergence the run is repeated at twice the
     cutoff and `converged` records whether the deviations stopped growing
-    (down to the tol floor); both gap values are reported either way.
+    (down to the tol floor).
     """
     sets = [c] if isinstance(c, DerivedCouplings) else list(c)
     analytic = [hopfield.polariton_frequencies(s) for s in sets]
@@ -387,14 +388,12 @@ def oracle_check(
             ambiguous=fit.ambiguous,
         )
         if gaps2 is not None:
-            _, fit2, dev2_plus, dev2_minus = gaps2
+            _, _, dev2_plus, dev2_minus = gaps2
             report.update(
                 converged=(
                     dev2_plus <= max(dev_plus, config.fock_tol)
                     and dev2_minus <= max(dev_minus, config.fock_tol)
-                ),
-                omega_plus_doubled=fit2.omega_plus,
-                omega_minus_doubled=fit2.omega_minus,
+                )
             )
         reports.append(OracleReport(**report))
     return reports[0] if isinstance(c, DerivedCouplings) else reports

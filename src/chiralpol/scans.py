@@ -5,7 +5,8 @@ file and --set pairs, see `config`). A scan runner parses every key once,
 `auto` values resolved, into one dict of typed values, and the table
 metadata echoes that dict, so the CSV header reproduces the run; the oracle
 echoes its string table as given. Instabilities become rows flagged
-unstable=1 with zeroed value columns rather than aborting the scan.
+unstable=1 with zeroed value columns rather than aborting the scan; any
+other failure raises, and `cli.main` alone maps it to an exit code.
 
 Default system values: the fundamental coupling eta = 0.001 and the
 chirality estimate xi = 3.712e-5 for the ensemble-size scan are the
@@ -113,17 +114,8 @@ def _require(ok: bool, key: str, value, requirement: str = "must be positive") -
         raise ConfigError(f"key '{key}': {requirement}, got {value}")
 
 
-def _checked(compute: Callable):
-    """compute(), with a ValueError from the model's own input checks (say, an
-    omega_m whose square underflows) reported as a config error."""
-    try:
-        return compute()
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
-
-
 def _stage(values: dict, compute: Callable[[dict], object]):
-    """compute(values) under `_checked`, with an overflow named by its key.
+    """compute(values); an OverflowError it raises is named by its key.
 
     On an OverflowError, compute runs again with the emitter keys at neutral
     values: identity xi_rotation, zero quadrupole and chi_m, no roll, and mu
@@ -133,7 +125,7 @@ def _stage(values: dict, compute: Callable[[dict], object]):
     ("numeric overflow in chi_m"). Otherwise the stage's own error stands.
     """
     try:
-        return _checked(lambda: compute(values))
+        return compute(values)
     except OverflowError as err:
         size = np.max(np.abs(values["mu"]))
         trial = {
@@ -193,7 +185,7 @@ def _system_from(table: dict) -> dict:
         "z": config_float(table, "z"),
     }
     _stage(system, lambda v: chiral_tdm_vector(_emitter(v, 0.0)))
-    _checked(lambda: _mode(system, omega_m))
+    _mode(system, omega_m)
     return system
 
 
@@ -452,7 +444,7 @@ def run_oracle_suite(table: dict) -> ScanTable:
     check_convergence = config_bool(table, "check_convergence")
     seed = config_int(table, "seed")
     _require(seed >= 0, "seed", seed, "must be nonnegative")
-    fock_config = _checked(lambda: FockConfig(fock_cutoff=cutoff, fock_tol=fock_tol))
+    fock_config = FockConfig(fock_cutoff=cutoff, fock_tol=fock_tol)
 
     rng = np.random.default_rng(seed)
     max_ratio = _max_gap_ratio(cutoff)

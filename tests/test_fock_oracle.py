@@ -225,7 +225,6 @@ class TestSpectrum:
         c = couplings(g=0.1, xi=0.3)
         report = oracle_check(c, FockConfig(fock_cutoff=12), check_convergence=True)
         assert report.converged
-        assert report.omega_plus_doubled is not None
 
     def test_commensurate_ladder_identified_by_multiplicity(self):
         # synthetic spectrum with omega_plus exactly 2*omega_minus
@@ -550,7 +549,7 @@ class TestForkedMap:
 fock_oracle._sector_levels = killed_in_a_child
 try:
     fock_oracle.low_levels(sets, 40)
-except RuntimeError as error:
+except ChildProcessError as error:
     print(error)
 print(no_child_left())
 """
@@ -598,7 +597,7 @@ for solver in (killed_in_a_child, failing):
     fock_oracle._sector_levels = solver
     try:
         fock_oracle.low_levels(sets, 40)
-    except (RuntimeError, ValueError) as error:
+    except (ChildProcessError, ValueError) as error:
         print(type(error).__name__)
     counts.append(open_fds())
 gc.collect()
@@ -611,7 +610,7 @@ print(no_child_left())
         assert result.returncode == 0, result.stderr
         assert "ResourceWarning" not in result.stderr
         killed, failed, counts, left = result.stdout.splitlines()
-        assert (killed, failed) == ("RuntimeError", "ValueError")
+        assert (killed, failed) == ("ChildProcessError", "ValueError")
         assert len(set(counts.split())) == 1, counts
         assert left == "True"
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -182,6 +183,9 @@ class TestExitCodes:
             ],
             ["oracle", "--set", "tol=0"],
             ["oracle", "--set", "tol=-1"],
+            # an output that cannot be opened: a missing directory, a directory
+            ["scan-n", "--out", "/nonexistent/dir/x.csv"],
+            ["scan-n", "--out", "."],
         ],
         ids=lambda argv: "_".join(a for a in argv if a != "--set"),
     )
@@ -191,6 +195,55 @@ class TestExitCodes:
         assert err.startswith("config error:") and err.count("\n") == 1
         assert "Traceback" not in err
         assert out == ""
+
+    def test_a_config_file_not_in_utf8_is_a_one_line_config_error(self, tmp_path):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes("xi = 0.5  # \xe9\n".encode("latin-1"))
+        code, out, err = run_cli(["scan-n", "--config", str(path)])
+        assert code == 1 and out == ""
+        assert err.startswith(f"config error: cannot read config file {path}: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, lines_read",
+        [
+            # 160000 rows, far more than the pipe holds: the run is still
+            # writing when the reader goes away
+            (["scan-cavity", "--set", "omega_k_points=400", "--set", "xi_points=400"], 1),
+            # a table small enough to sit in stdout's buffer until the flush
+            (["scan-n"], 0),
+        ],
+        ids=["scan-cavity-400x400", "scan-n"],
+    )
+    def test_a_closed_stdout_exits_1_without_a_traceback(self, argv, lines_read):
+        # a block-buffered stdout, as in a shell pipeline
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        child = subprocess.Popen(
+            [sys.executable, "-m", "chiralpol.cli", *argv],
+            env={**env, "PYTHONPATH": str(SRC)},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        for _ in range(lines_read):
+            assert child.stdout.readline().startswith(b"# command = ")
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        child.stderr.close()
+        assert child.wait(timeout=120) == 1
+        assert "Traceback" not in err and "Exception ignored" not in err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+    def test_an_unidentified_ladder_writes_its_csv_and_exits_2(self):
+        # at fock_tol=1 set 0 shows no stiff gap: its fit has a NaN residual
+        code, out, err = run_cli(
+            ["oracle", "--set", "fock_tol=1", "--set", "fock_cutoff=12", "--set", "oracle_sets=2"]
+        )
+        assert code == 2
+        assert re.fullmatch(r"oracle deviation \S+ exceeds tol 1\.000e-07\n", err)
+        header, *rows = [line for line in out.splitlines() if not line.startswith("#")]
+        assert len(rows) == 2
+        first = dict(zip(header.split(","), rows[0].split(",")))
+        assert (first["ladder_residual"], first["ambiguous"]) == ("nan", "1")
 
     def test_a_fock_error_names_its_oracle_key(self):
         code, _, err = run_cli(["oracle", "--set", "fock_tol=0"])
