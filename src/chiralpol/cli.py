@@ -2,7 +2,9 @@
 
 Subcommands: scan-cavity, scan-n, scan-dispersion, oracle. Each reads an
 optional flat `key = value` config file, applies repeatable --set overrides,
-and writes a deterministic CSV (stdout by default). Exit codes: 0 ok,
+and writes a deterministic CSV (stdout by default; --out opens before the
+run, so an unwritable path fails at once, and a failed run leaves it empty,
+as a shell redirect would). Exit codes: 0 ok,
 1 config error: a bad key or value, an unreadable config file, an
 unwritable --out, a closed stdout, a failed oracle worker, a numeric
 overflow or a run too large for the memory available; 2 the run's own check
@@ -33,7 +35,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "scan-cavity": "polariton spectra over an (omega_k, xi) grid",
         "scan-n": "enantio-discrimination observables over the ensemble size",
         "scan-dispersion": "bright polaritons along the in-plane dispersion",
-        "oracle": "randomized analytic-vs-Fock regression grid",
+        "oracle": "randomized analytic-vs-Fock regression grid, each set at "
+        "the smallest Fock cutoff its residual bound certifies",
     }
     for name, text in help_lines.items():
         cmd = sub.add_parser(name, help=text)
@@ -78,13 +81,16 @@ def main(argv=None) -> int:
     try:
         table_config = _effective_config(args)
         _, runner = SCAN_COMMANDS[args.command]
-        table = runner(table_config)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-                table.write(handle)
-        else:
-            table.write(sys.stdout)
-            sys.stdout.flush()  # a closed pipe fails here, not at exit
+        # --out opens before the run, as a shell redirect would, so that an
+        # unwritable path fails before the computation instead of after it
+        with (
+            open(args.out, "w", encoding="utf-8", newline="\n")
+            if args.out
+            else contextlib.nullcontext(sys.stdout)
+        ) as handle:
+            table = runner(table_config)
+            table.write(handle)
+            handle.flush()  # a closed pipe fails here, not at exit
     except (ValueError, OverflowError, OSError) as err:
         if isinstance(err, BrokenPipeError):
             with contextlib.suppress(OSError):  # a stream with no descriptor

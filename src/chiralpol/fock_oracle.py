@@ -9,18 +9,30 @@ and LAPACK's band solver gives its lowest levels (two 841-dimensional sectors
 at the default cutoff 40). The tests hold the faithful complex Hermitian
 matrix on the full basis and check the sectors against it.
 
-oracle_check sizes each set's solve from the set's analytic ladder: it asks
-for the levels the ladder fit would read on that ladder, plus two, and then
-checks that the fit's window really closed inside the levels solved. A set
-whose window ran to the last one is solved again at FULL_COUNT levels, so
-every report is the one a FULL_COUNT solve gives, up to eigenvalue ulps.
+oracle_check solves each set at the smallest box that a residual
+certificate accepts. It tries the cutoffs 8, 12, ..., 32, then even steps
+of at most x1.25 up to fock_cutoff, its ceiling. At each step the set's levels come
+from the band solver, and the ladder fit reads its window off them; two steps
+of shifted inverse iteration then give vectors for the levels read, and their
+residual in the untruncated Hamiltonian, the leak through the box's boundary
+included, bounds how far each level is from a true one. The first box whose
+bound is at most fock_tol (E1 - E0)/2 on every level read is accepted, so
+each gap is certified within fock_tol Omega-. A set that no box certifies is
+reported from the ceiling solve. The analytic values never accept a box.
+
+Each solve is sized from the set's analytic ladder: it asks for the levels
+the ladder fit would read on that ladder, plus two, and then checks that the
+fit's window really closed inside the levels solved. A set whose window ran
+to the last one is solved again at FULL_COUNT levels, so every report is the
+one a FULL_COUNT solve gives, up to eigenvalue ulps.
 
 low_levels and oracle_check take one parameter set or a sequence of them.
-The sector solves of a call are independent and hold the GIL, so a call
-large enough to repay the fork splits them into one contiguous chunk per
-CPU and forks one child per chunk, which sends its levels back over a pipe
-(`_forked_map`); ladder fits and reports stay in the calling process.
-A report is a plain record: the oracle CSV and its columns belong to
+Their tasks, one sector each for low_levels and one set's whole search each
+for oracle_check, are independent and hold the GIL, so a call large enough
+to repay the fork deals them out to one forked child per CPU, which sends its
+results back over a pipe (`_forked_map`). The children call the band solver
+directly, never low_levels; ladder fits and reports stay in the calling
+process. A report is a plain record: the oracle CSV and its columns belong to
 `scans.run_oracle_suite`.
 
 LAPACK is loaded with `scipy.linalg`, which this module reaches as an
@@ -33,7 +45,7 @@ nor does it import `multiprocessing`: the fork map needs only `os`.
 import os
 import pickle
 import signal
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -44,22 +56,26 @@ from .couplings import DerivedCouplings
 
 
 MAX_CUTOFF = 100  # the convergence re-solve at 200 keeps ~16 MB of band
-# A call whose sectors hold fewer states than this between them solves in
-# process: below it forking the children (~7 ms on 2 vCPUs) costs more than
-# the solves it spreads. Measured break-even with the sized solves of
-# oracle_check: ~1100 states for one set, ~1300 for two, ~1850 for three,
-# ~2200 for five and ~3000 for twenty; one set at the default cutoff 40 holds
-# 1681 and is forked, where it takes ~0.77 of the in-process time.
+# A low_levels call whose sectors hold fewer states than this between them
+# solves in process: below it forking the children (~7 ms on 2 vCPUs) costs
+# more than the solves it spreads. Measured break-even with the sized solves:
+# ~1100 states for one set, ~1300 for two, ~1850 for three, ~2200 for five and
+# ~3000 for twenty; one set at cutoff 40 holds 1681 and is forked.
 POOL_MIN_STATES = 1600
+# oracle_check forks its cutoff searches from this many sets on. At the default
+# ceiling 40 on 2 vCPUs, forked suites took 1.0-1.2 of the in-process time at
+# two and three sets, 0.90-0.97 at four and 0.65-0.75 at twenty.
+SEARCH_MIN_SETS = 4
 FULL_COUNT = 48  # levels of an unsized solve, and the most a sized one asks for
 RUNGS_PAST_ONSET = 5  # gaps the ladder fit compares past the stiff gap's onset
 
 
 @dataclass(frozen=True)
 class FockConfig:
-    """fock_cutoff: max occupation per mode; fock_tol: relative acceptance
-    tolerance on the polariton frequencies. The names are the oracle's config
-    keys, so an error names the key to change."""
+    """fock_cutoff: the largest max occupation per mode that the cutoff search
+    tries, and the cutoff the convergence check doubles; fock_tol: relative
+    acceptance tolerance on the polariton frequencies. The names are the
+    oracle's config keys, so an error names the key to change."""
 
     fock_cutoff: int = 40
     fock_tol: float = 1e-8
@@ -73,6 +89,22 @@ class FockConfig:
             raise ValueError(f"fock_tol must be positive, got {self.fock_tol}")
 
 
+def _sector_states(cutoff: int, parity: int) -> tuple[np.ndarray, np.ndarray]:
+    """n and m of the states |n, m> with n, m <= cutoff and n + m = parity
+    (mod 2), ordered by n, then m."""
+    n, m = np.divmod(np.arange((cutoff + 1) ** 2), cutoff + 1)
+    sector = (n + m) % 2 == parity
+    return n[sector], m[sector]
+
+
+def _weights(c: DerivedCouplings) -> tuple[float, float]:
+    """The pair and swap couplings g(1 - p) and g(1 + p), with g = sqrt(N) g~
+    and p = xi~ lambda."""
+    g_root = np.sqrt(c.n_emitters) * c.g_tilde
+    p = c.xi_tilde * c.handedness
+    return g_root * (1 - p), g_root * (1 + p)
+
+
 def _sector_band(c: DerivedCouplings, cutoff: int, parity: int) -> np.ndarray:
     """Lower band storage, band[d, j] = H[j + d, j], of the real-gauge H
     (photon phase a -> i a turns the +-i couplings real) on the states |n, m>
@@ -80,18 +112,14 @@ def _sector_band(c: DerivedCouplings, cutoff: int, parity: int) -> np.ndarray:
     Every coupling changes n by one, so coupled states sit in adjacent
     n-blocks of at most (cutoff + 2)//2 states: (cutoff + 1)//2 + 2 band rows.
     """
-    n, m = np.divmod(np.arange((cutoff + 1) ** 2), cutoff + 1)
-    sector = (n + m) % 2 == parity
-    n, m = n[sector], m[sector]
+    n, m = _sector_states(cutoff, parity)
     index = np.zeros((cutoff + 1, cutoff + 1), dtype=int)
     index[n, m] = np.arange(n.size)
 
-    g_root = np.sqrt(c.n_emitters) * c.g_tilde
-    p = c.xi_tilde * c.handedness
     rows, cols, values = [], [], []
     # pair term g(1 - p) sqrt((n+1)(m+1)) to |n+1, m+1>,
     # swap term g(1 + p) sqrt((n+1)m) to |n+1, m-1>
-    for step, weight in ((1, g_root * (1 - p)), (-1, g_root * (1 + p))):
+    for step, weight in zip((1, -1), _weights(c)):
         link = (n < cutoff) & (0 <= m + step) & (m + step <= cutoff)
         rows.append(index[n[link] + 1, m[link] + step])
         cols.append(link.nonzero()[0])
@@ -106,30 +134,140 @@ def _sector_band(c: DerivedCouplings, cutoff: int, parity: int) -> np.ndarray:
 def _sector_levels(c: DerivedCouplings, cutoff: int, parity: int, count: int) -> np.ndarray:
     """The lowest `count` levels of one parity sector, ascending (all of them
     when the sector is smaller)."""
-    band = _sector_band(c, cutoff, parity)
+    return _lowest(_sector_band(c, cutoff, parity), count)
+
+
+def _lowest(band: np.ndarray, count: int) -> np.ndarray:
     last = min(count, band.shape[1]) - 1
     return scipy.linalg.eig_banded(
         band, lower=True, eigvals_only=True, select="i", select_range=(0, last)
     )
 
 
+def _leak(c: DerivedCouplings, cutoff: int, parity: int, vectors: np.ndarray) -> np.ndarray:
+    """The part of H v outside the box, for each column v of `vectors` on the
+    sector's states: rows |C+1, m> for m = 0 .. C+1, then |n, C+1> for
+    n = 0 .. C, with C the cutoff.
+
+    Only the boundary states couple out. From |C, m> the pair term reaches
+    |C+1, m+1> and the swap |C+1, m-1>; from |n, C> the pair term reaches
+    |n+1, C+1> and the conjugate swap |n-1, C+1>. The pair term from |C, C>
+    is in both lists and counts once; terms that reach one state add up.
+    """
+    n, m = _sector_states(cutoff, parity)
+    pair, swap = _weights(c)
+    top = cutoff + 1.0
+    row_of_m = cutoff + 2 + n  # the row of |n, C+1>
+    terms = (
+        (n == cutoff, m + 1, pair * np.sqrt(top * (m + 1))),
+        ((n == cutoff) & (m > 0), m - 1, swap * np.sqrt(top * m)),
+        ((m == cutoff) & (n < cutoff), row_of_m + 1, pair * np.sqrt((n + 1) * top)),
+        ((m == cutoff) & (n > 0), row_of_m - 1, swap * np.sqrt(n * top)),
+    )
+    leak = np.zeros((2 * cutoff + 3, vectors.shape[1]))
+    for source, row, weight in terms:  # one term reaches each row at most once
+        leak[row[source]] += weight[source, None] * vectors[source]
+    return leak
+
+
+def _residual_bound(c: DerivedCouplings, cutoff: int, parity: int, band, levels) -> float:
+    """A bound r such that each of `levels`, the lowest levels of one sector
+    from eig_banded, lies within r of its own eigenvalue of the untruncated
+    Hamiltonian (Kahan's theorem; Parlett, The Symmetric Eigenvalue Problem).
+
+    Two steps of inverse iteration, shifted just below each level, give one
+    vector per level. Rayleigh-Ritz on the orthonormalized block Q, with
+    A = Q^T H Q, puts the eigenvalues of A within ||H Q - Q A||_2 of as many
+    distinct eigenvalues of H, so a multiple level counts with its
+    multiplicity. The residual has the in-box rows H_C Q - Q A and the leak
+    of Q out of the box; the bound adds how far each level is from its
+    eigenvalue of A.
+    """
+    lower = band.shape[0] - 1
+    size = band.shape[1]
+    full = np.zeros((2 * lower + 1, size))  # solve_banded's general storage
+    full[lower:] = band
+    for d in range(1, lower + 1):
+        full[lower - d, d:] = band[d, :-d]
+    # a fixed start with no special symmetry, one column per level
+    vectors = np.cos(np.outer(np.arange(1, size + 1), np.arange(1, levels.size + 1)) * 2.4)
+    for j, level in enumerate(levels):
+        # just below the level, so that a decoupled (diagonal) band is not singular
+        full[lower] = band[0] - (level - 1e-12 * abs(level))
+        for _ in range(2):
+            vectors[:, j] = scipy.linalg.solve_banded(
+                (lower, lower), full, vectors[:, j], check_finite=False
+            )
+    q = np.linalg.qr(vectors)[0]
+    hq = band[0, :, None] * q
+    for d in range(1, lower + 1):
+        hq[d:] += band[d, :-d, None] * q[:-d]
+        hq[:-d] += band[d, :-d, None] * q[d:]
+    a = q.T @ hq
+    residual = np.vstack((hq - q @ a, _leak(c, cutoff, parity, q)))
+    return np.linalg.norm(residual, 2) + np.max(np.abs(np.linalg.eigvalsh(a) - levels))
+
+
+def _cutoff_steps(ceiling: int) -> list[int]:
+    """C = 8, 12, ..., 32, then the fewest evenly spaced steps of at most
+    x1.25 up to the ceiling (40 for 40; 38, 46, 55, 67, 80 for 80). Even
+    steps leave no short last step, which would cost almost one more
+    solve at the ceiling."""
+    steps = [cutoff for cutoff in range(8, 33, 4) if cutoff < ceiling]
+    if ceiling <= 32:
+        return steps + [ceiling]
+    count = 1
+    while True:
+        upper = [round(32 * (ceiling / 32) ** (i / count)) for i in range(count + 1)]
+        if all(high <= 1.25 * low for low, high in zip(upper, upper[1:])):
+            return steps + upper[1:]
+        count += 1
+
+
+def _certified_levels(c: DerivedCouplings, ceiling: int, count: int, tol: float):
+    """(cutoff, certified, levels) of one set: its lowest levels at the first
+    cutoff step whose residual bounds put every level its ladder fit reads
+    within tol (E1 - E0) / 2 of the untruncated one, or at the ceiling,
+    uncertified, when no step does.
+
+    Each step solves for `count` levels, and again for FULL_COUNT when the
+    fit read all of them, as the fixed-cutoff convergence re-solve does.
+    """
+    for cutoff in _cutoff_steps(ceiling):
+        bands = [_sector_band(c, cutoff, parity) for parity in (0, 1)]
+        for solved in (count, FULL_COUNT):
+            sectors = [_lowest(band, solved) for band in bands]
+            levels = np.sort(np.concatenate(sectors))[:solved]
+            fit = fit_ladder(levels, tol)
+            if fit.levels_read < levels.size or solved == FULL_COUNT:
+                break
+        highest = levels[fit.levels_read - 1]
+        bound = max(
+            _residual_bound(c, cutoff, parity, band, found[found <= highest])
+            for parity, (band, found) in enumerate(zip(bands, sectors))
+        )
+        if bound <= 0.5 * tol * (levels[1] - levels[0]):
+            return cutoff, True, levels
+    return cutoff, False, levels
+
+
 def _forked_map(func, tasks: list, workers: int) -> list:
-    """[func(*task) for task in tasks], with the tasks split into contiguous
-    chunks of ceil(len(tasks)/workers), each run by its own forked child.
+    """[func(*task) for task in tasks], with the tasks dealt out in turn to
+    `workers` forked children (child k runs tasks k, k + workers, ...), which
+    spreads uneven tasks more evenly than contiguous chunks (measured).
 
     A child sends one pickled (ok, results or exception) record up its pipe
     and leaves by os._exit, so it neither flushes the stdio buffers it
-    inherited nor runs exit handlers. The parent reads the pipes in chunk
+    inherited nor runs exit handlers. The parent reads the pipes in child
     order and raises a child's exception as it is; a child that left no
     readable record (killed, crashed, or its record would not pickle) is a
     ChildProcessError. Every child is reaped before the call returns, and on an
     error any child still running is killed first.
     """
-    size = -(-len(tasks) // workers)
     pids, pipes = [], []
     done = False
     try:
-        for start in range(0, len(tasks), size):
+        for start in range(workers):
             read_end, write_end = os.pipe()
             pipes.append(open(read_end, "rb"))
             with open(write_end, "wb") as writer:  # the parent's copy closes here
@@ -137,7 +275,7 @@ def _forked_map(func, tasks: list, workers: int) -> list:
                 if pid == 0:
                     try:
                         try:
-                            record = (True, [func(*task) for task in tasks[start : start + size]])
+                            record = (True, [func(*task) for task in tasks[start::workers]])
                         except BaseException as error:
                             record = (False, error)
                         writer.write(pickle.dumps(record))
@@ -145,15 +283,15 @@ def _forked_map(func, tasks: list, workers: int) -> list:
                     finally:
                         os._exit(0)
             pids.append(pid)
-        results = []
-        for pid, pipe in zip(pids, pipes):
+        results = [None] * len(tasks)
+        for start, (pid, pipe) in enumerate(zip(pids, pipes)):
             try:
                 ok, value = pickle.load(pipe)
             except (EOFError, pickle.UnpicklingError) as error:
                 raise ChildProcessError(f"oracle worker {pid} left no readable result") from error
             if not ok:
                 raise value
-            results.extend(value)
+            results[start::workers] = value
         done = True
         return results
     finally:
@@ -163,6 +301,18 @@ def _forked_map(func, tasks: list, workers: int) -> list:
             if not done:
                 os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+
+
+def _mapped(func, tasks: list, fork: bool) -> list:
+    """[func(*task) for task in tasks]: with `fork`, more than one CPU and
+    more than one task, in forked children (`_forked_map`)."""
+    workers = min(len(os.sched_getaffinity(0)), len(tasks))
+    if workers == 1 or not fork:
+        return [func(*task) for task in tasks]
+    # the attribute access imports scipy.linalg here, once, so that every
+    # child forks with it loaded instead of importing it (~0.26 s) itself
+    scipy.linalg
+    return _forked_map(func, tasks, workers)
 
 
 def low_levels(
@@ -177,24 +327,18 @@ def low_levels(
     A sector solve is a band-to-tridiagonal reduction, whose cost is fixed,
     and a bisection for each level asked for: at cutoff 40 the reduction is
     ~0.6 of a FULL_COUNT solve, so oracle_check asks each set for only the
-    levels its ladder fit reads (see the module note).
+    levels its ladder fit reads (see the module note). oracle_check calls
+    this only for its fixed-cutoff convergence re-solve.
 
     Each (set, parity) sector is one task. With more than one CPU, and at
-    least POOL_MIN_STATES states over all sectors, the tasks go in one
-    contiguous chunk per CPU to forked children that live for this call only
-    (`_forked_map`); the levels are bitwise those of an in-process solve.
+    least POOL_MIN_STATES states over all sectors, the tasks are dealt out
+    to forked children that live for this call only (`_forked_map`); the
+    levels are bitwise those of an in-process solve.
     """
     sets = [c] if isinstance(c, DerivedCouplings) else list(c)
     counts = [count] * len(sets) if np.ndim(count) == 0 else list(count)
     tasks = [(s, cutoff, parity, k) for s, k in zip(sets, counts) for parity in (0, 1)]
-    workers = min(len(os.sched_getaffinity(0)), len(tasks))
-    if workers == 1 or len(sets) * (cutoff + 1) ** 2 < POOL_MIN_STATES:
-        sectors = list(map(_sector_levels, *zip(*tasks)))
-    else:
-        # the attribute access imports scipy.linalg here, once, so that every
-        # child forks with it loaded instead of importing it (~0.26 s) itself
-        scipy.linalg
-        sectors = _forked_map(_sector_levels, tasks, workers)
+    sectors = _mapped(_sector_levels, tasks, len(sets) * (cutoff + 1) ** 2 >= POOL_MIN_STATES)
     pairs = zip(sectors[0::2], sectors[1::2])
     levels = [np.sort(np.concatenate(pair))[:k] for pair, k in zip(pairs, counts)]
     if isinstance(c, DerivedCouplings):
@@ -223,9 +367,10 @@ class LadderFit:
     E0 + n omega_minus + m omega_plus best reproduces the observed levels
     (multiplicities included). `degenerate` marks a doubly degenerate first
     gap (omega_plus = omega_minus); `ambiguous` marks near-commensurate or
-    unidentifiable ladders, and an unidentified one has a NaN residual.
-    `levels_read` counts the levels, from E0 up, that the fit compared:
-    every level it was given when no stiff gap showed.
+    unidentifiable ladders, and an unidentified one has a NaN residual: so is
+    every ladder when the match tolerance, 10 tol (|E0| + omega_minus), is at
+    least half the first gap. `levels_read` counts the levels, from E0 up,
+    that the fit compared: every level it was given when no stiff gap showed.
     """
 
     omega_minus: float
@@ -245,6 +390,9 @@ def fit_ladder(levels, tol: float) -> LadderFit:
     if om <= 0:
         raise ValueError("first gap is nonpositive; spectrum is not a ladder")
     match_tol = 10.0 * tol * (abs(float(levels[0])) + om)  # two gaps this close are equal
+    if match_tol >= 0.5 * om:
+        # every rung would match a neighbour's: no ladder can be identified
+        return LadderFit(om, om, float("nan"), False, True, levels.size)
 
     # Walk up the pure soft ladder om, 2 om, 3 om, ...; the first position
     # that breaks the pattern marks the onset of the stiff gap, either as a
@@ -309,7 +457,10 @@ def _sized_count(analytic_plus: float, analytic_minus: float, tol: float) -> int
 
 @dataclass(frozen=True)
 class OracleReport:
-    """Comparison of the Fock-oracle gaps against the analytic frequencies."""
+    """Comparison of the Fock-oracle gaps against the analytic frequencies.
+    `cutoff` is the box the levels come from; `certified` says whether its
+    residual bounds hold every level the fit read within fock_tol (E1 - E0)/2.
+    `converged` is None without the convergence check."""
 
     omega_plus: float
     omega_minus: float
@@ -322,6 +473,8 @@ class OracleReport:
     ladder_residual: float
     degenerate: bool
     ambiguous: bool
+    cutoff: int
+    certified: bool
     converged: Optional[bool] = None
 
 
@@ -331,24 +484,58 @@ def oracle_check(
     check_convergence: bool = True,
 ) -> OracleReport | list[OracleReport]:
     """Diagonalize, read off the gaps, and compare against the analytic values:
-    one report for one set, a list in set order for a sequence of sets, with
-    one low_levels call per cutoff for all of them.
+    one report for one set, a list in set order for a sequence of sets.
 
-    Each set's solve is sized from its analytic ladder (`_sized_count`) and
-    verified by its fit: a set whose fit read every level solved goes into
-    one more low_levels call at FULL_COUNT levels, so a report never rests on
-    a window cut short. E0 is compared against the vacuum energy
-    (Omega+ + Omega-)/2, whose enantiomer difference is the discriminating
-    Delta E_vac. With check_convergence the run is repeated at twice the
-    cutoff and `converged` records whether the deviations stopped growing
-    (down to the tol floor).
+    Each set is solved at the smallest cutoff step whose residual bounds
+    certify the levels its fit reads (`_certified_levels`), with fock_cutoff
+    as the ceiling; the searches of all sets are one `_mapped` call, and the
+    fits are made again here from the levels they return. Each solve is sized
+    from the set's analytic ladder (`_sized_count`) and verified by its fit:
+    a set whose fit read every level solved is solved again at FULL_COUNT
+    levels, so a report never rests on a window cut short. E0 is compared
+    against the vacuum energy (Omega+ + Omega-)/2, whose enantiomer
+    difference is the discriminating Delta E_vac. With check_convergence the
+    sets are solved again at twice fock_cutoff, by low_levels, and
+    `converged` records whether the deviations stopped growing (down to the
+    tol floor).
     """
     sets = [c] if isinstance(c, DerivedCouplings) else list(c)
     analytic = [hopfield.polariton_frequencies(s) for s in sets]
     counts = [_sized_count(plus, minus, config.fock_tol) for plus, minus in analytic]
 
-    def gaps_at(cutoff: int):
-        levels = low_levels(sets, cutoff, counts)
+    def deviations(fit: LadderFit, analytic_plus: float, analytic_minus: float):
+        return (
+            abs(fit.omega_plus - analytic_plus) / analytic_plus,
+            abs(fit.omega_minus - analytic_minus) / max(analytic_minus, 1e-300),
+        )
+
+    tasks = [(s, config.fock_cutoff, k, config.fock_tol) for s, k in zip(sets, counts)]
+    searched = _mapped(_certified_levels, tasks, len(tasks) >= SEARCH_MIN_SETS)
+    reports = []
+    for (analytic_plus, analytic_minus), (cutoff, certified, levels) in zip(analytic, searched):
+        fit = fit_ladder(levels, config.fock_tol)
+        dev_plus, dev_minus = deviations(fit, analytic_plus, analytic_minus)
+        e_vac = 0.5 * (analytic_plus + analytic_minus)
+        reports.append(
+            OracleReport(
+                omega_plus=fit.omega_plus,
+                omega_minus=fit.omega_minus,
+                e0=float(levels[0]),
+                analytic_plus=analytic_plus,
+                analytic_minus=analytic_minus,
+                deviation_plus=dev_plus,
+                deviation_minus=dev_minus,
+                e0_deviation=abs(float(levels[0]) - e_vac) / e_vac,
+                ladder_residual=fit.residual,
+                degenerate=fit.degenerate,
+                ambiguous=fit.ambiguous,
+                cutoff=cutoff,
+                certified=certified,
+            )
+        )
+    if check_convergence:
+        doubled = 2 * config.fock_cutoff
+        levels = low_levels(sets, doubled, counts)
         fits = [fit_ladder(row, config.fock_tol) for row in levels]
         again = [
             i
@@ -356,44 +543,12 @@ def oracle_check(
             if fit.levels_read == row.size and counts[i] < FULL_COUNT
         ]
         if again:
-            for i, row in zip(again, low_levels([sets[i] for i in again], cutoff)):
-                levels[i], fits[i] = row, fit_ladder(row, config.fock_tol)
-        gaps = []
-        for row, fit, (analytic_plus, analytic_minus) in zip(levels, fits, analytic):
-            dev_plus = abs(fit.omega_plus - analytic_plus) / analytic_plus
-            dev_minus = abs(fit.omega_minus - analytic_minus) / max(
-                analytic_minus, 1e-300
+            for i, row in zip(again, low_levels([sets[i] for i in again], doubled)):
+                fits[i] = fit_ladder(row, config.fock_tol)
+        for i, (fit, report) in enumerate(zip(fits, reports)):
+            dev_plus, dev_minus = deviations(fit, report.analytic_plus, report.analytic_minus)
+            converged = dev_plus <= max(report.deviation_plus, config.fock_tol) and (
+                dev_minus <= max(report.deviation_minus, config.fock_tol)
             )
-            gaps.append((row, fit, dev_plus, dev_minus))
-        return gaps
-
-    main = gaps_at(config.fock_cutoff)
-    doubled = gaps_at(2 * config.fock_cutoff) if check_convergence else [None] * len(sets)
-    reports = []
-    for (analytic_plus, analytic_minus), (levels, fit, dev_plus, dev_minus), gaps2 in zip(
-        analytic, main, doubled
-    ):
-        e_vac = 0.5 * (analytic_plus + analytic_minus)
-        report = dict(
-            omega_plus=fit.omega_plus,
-            omega_minus=fit.omega_minus,
-            e0=float(levels[0]),
-            analytic_plus=analytic_plus,
-            analytic_minus=analytic_minus,
-            deviation_plus=dev_plus,
-            deviation_minus=dev_minus,
-            e0_deviation=abs(float(levels[0]) - e_vac) / e_vac,
-            ladder_residual=fit.residual,
-            degenerate=fit.degenerate,
-            ambiguous=fit.ambiguous,
-        )
-        if gaps2 is not None:
-            _, _, dev2_plus, dev2_minus = gaps2
-            report.update(
-                converged=(
-                    dev2_plus <= max(dev_plus, config.fock_tol)
-                    and dev2_minus <= max(dev_minus, config.fock_tol)
-                )
-            )
-        reports.append(OracleReport(**report))
+            reports[i] = replace(report, converged=converged)
     return reports[0] if isinstance(c, DerivedCouplings) else reports

@@ -432,6 +432,9 @@ def sample_stable_couplings(
 def run_oracle_suite(table: dict) -> ScanTable:
     """Randomized analytic-vs-Fock regression grid.
 
+    Each set is solved at the smallest cutoff step whose residual bound
+    certifies the levels its fit reads, up to fock_cutoff; the `cutoff`
+    column gives that box and `certified` whether the bound held there.
     Deterministic for a fixed seed. A worst relative deviation of either
     branch or of E0 above tol sets the table's `failure` (CLI exit status 2).
     """
@@ -472,6 +475,8 @@ def run_oracle_suite(table: dict) -> ScanTable:
             report.degenerate,
             report.ambiguous,
             report.converged,  # None (NaN) without the convergence check
+            report.cutoff,
+            report.certified,
         )
         for index, (c, report) in enumerate(zip(sets, reports))
     ]
@@ -495,6 +500,8 @@ def run_oracle_suite(table: dict) -> ScanTable:
             "degenerate",
             "ambiguous",
             "converged",
+            "cutoff",
+            "certified",
         ),
         rows=rows,
         metadata=_echo("oracle", ORACLE_DEFAULTS, table),

@@ -64,6 +64,13 @@ def stable_random_couplings(rng):
             return c
 
 
+def unpacked(band: np.ndarray) -> np.ndarray:
+    """The dense symmetric matrix whose lower band storage is `band`."""
+    size = band.shape[1]
+    lower = sum(np.diag(band[d, : size - d], -d) for d in range(band.shape[0]))
+    return np.tril(lower) + np.tril(lower, -1).T
+
+
 class TestHamiltonianBuild:
     def test_free_hamiltonian_is_diagonal(self):
         c = couplings(w_photon=0.9, w_matter=1.7, g=0.0)
@@ -124,12 +131,8 @@ class TestHamiltonianBuild:
         total = n_photon + n_matter
         for parity in (0, 1):
             states = np.where(total % 2 == parity)[0]  # row-major: by n, then m
-            band = _sector_band(c, cutoff, parity)
-            unpacked = np.zeros((states.size, states.size))
-            for d in range(band.shape[0]):
-                unpacked += np.diag(band[d, : states.size - d], -d)
-            unpacked = np.tril(unpacked) + np.tril(unpacked, -1).T
-            assert_allclose(unpacked, gauged.real[np.ix_(states, states)], atol=1e-15)
+            dense = unpacked(_sector_band(c, cutoff, parity))
+            assert_allclose(dense, gauged.real[np.ix_(states, states)], atol=1e-15)
 
     @pytest.mark.parametrize("cutoff", [4, 5, 12, 40, 80])
     def test_sector_band_half_width_is_half_the_cutoff(self, cutoff):
@@ -277,17 +280,114 @@ class TestSoftModeSuite:
             checked += 1
 
 
+def default_sets(count: int) -> list:
+    rng = np.random.default_rng(int(ORACLE_DEFAULTS["seed"]))
+    ratio = _max_gap_ratio(int(ORACLE_DEFAULTS["fock_cutoff"]))
+    return [sample_stable_couplings(rng, ratio) for _ in range(count)]
+
+
+class TestCertificate:
+    # the residual bound that accepts a box: its leak term against the next
+    # box's matrix, the accepted box against a dense recomputation, and the
+    # certified levels against the cutoff-40 ones
+
+    @pytest.mark.parametrize("cutoff", [8, 12])
+    def test_the_leak_is_the_part_of_the_next_box_outside_this_one(self, cutoff):
+        rng = np.random.default_rng(cutoff)
+        # xi = -1 has no swap term, xi = +1 no pair term
+        chiral = [couplings(g=0.2, xi=xi) for xi in (-1.0, 1.0)]
+        for c in [sample_stable_couplings(rng) for _ in range(3)] + chiral:
+            for parity in (0, 1):
+                n, m = fock_oracle._sector_states(cutoff + 1, parity)
+                inside = (n <= cutoff) & (m <= cutoff)
+                vectors = rng.standard_normal((np.count_nonzero(inside), 3))
+                padded = np.zeros((n.size, 3))
+                padded[inside] = vectors
+                outside = (unpacked(_sector_band(c, cutoff + 1, parity)) @ padded)[~inside]
+                # the leak's rows: |C+1, m> by m, then |n, C+1> by n
+                rows = np.where(n[~inside] > cutoff, m[~inside], cutoff + 2 + n[~inside])
+                leak = fock_oracle._leak(c, cutoff, parity, vectors)
+                assert_allclose(leak[rows], outside, rtol=0, atol=1e-15 * np.abs(outside).max())
+                others = np.ones(len(leak), dtype=bool)
+                others[rows] = False  # the states of the other parity
+                assert not leak[others].any()
+
+    def test_the_cutoff_steps_grow_by_at_most_a_quarter_up_to_the_ceiling(self):
+        assert fock_oracle._cutoff_steps(40) == [8, 12, 16, 20, 24, 28, 32, 40]
+        assert fock_oracle._cutoff_steps(80)[6:] == [32, 38, 46, 55, 67, 80]
+        for ceiling in range(4, fock_oracle.MAX_CUTOFF + 1):
+            steps = fock_oracle._cutoff_steps(ceiling)
+            assert steps[-1] == ceiling and steps == sorted(set(steps))
+            above = [32] + [step for step in steps if step > 32]
+            assert all(high <= 1.25 * low for low, high in zip(above, above[1:])), ceiling
+
+    def test_the_accepted_box_is_the_first_that_certifies_every_level_read(self):
+        # dense eigenvectors and the next box's dense matrix give each level's
+        # residual independently of the inverse iteration and of _leak
+        tol = 1e-8
+        sets = default_sets(12)
+        steps = fock_oracle._cutoff_steps(40)
+        reports = oracle_check(sets, FockConfig(40, tol), check_convergence=False)
+        for c, report in zip(sets, reports):
+            index = steps.index(report.cutoff)
+            checked = [(report.cutoff, report.certified)]
+            checked += [(steps[index - 1], False)] if index else []
+            for cutoff, certified in checked:
+                spectra = [
+                    np.linalg.eigh(unpacked(_sector_band(c, cutoff, parity)))
+                    for parity in (0, 1)
+                ]
+                levels = np.sort(np.concatenate([e for e, _ in spectra]))[:48]
+                highest = levels[fit_ladder(levels, tol).levels_read - 1]
+                bound = 0.0
+                for parity, (energies, vectors) in enumerate(spectra):
+                    n, m = fock_oracle._sector_states(cutoff + 1, parity)
+                    read = energies <= highest
+                    padded = np.zeros((n.size, np.count_nonzero(read)))
+                    padded[(n <= cutoff) & (m <= cutoff)] = vectors[:, read]
+                    next_box = unpacked(_sector_band(c, cutoff + 1, parity))
+                    residual = next_box @ padded - padded * energies[read]
+                    bound = max(bound, np.linalg.norm(residual, 2))
+                assert (bound <= 0.5 * tol * (levels[1] - levels[0])) == certified, cutoff
+
+    def test_certified_levels_lie_within_their_bound_of_the_cutoff_40_levels(self):
+        tol = 1e-8
+        sets = default_sets(200)
+        counts = [fock_oracle._sized_count(*polariton_frequencies(c), tol) for c in sets]
+        tasks = [(c, 40, k, tol) for c, k in zip(sets, counts)]
+        searched = fock_oracle._mapped(fock_oracle._certified_levels, tasks, True)
+        at_40 = low_levels(sets, 40, [levels.size for _, _, levels in searched])
+        certified = 0
+        for c, (cutoff, ok, levels), reference in zip(sets, searched, at_40):
+            fit, fit_40 = fit_ladder(levels, tol), fit_ladder(reference, tol)
+            assert (fit.degenerate, fit.ambiguous) == (fit_40.degenerate, fit_40.ambiguous)
+            if not ok:
+                continue
+            certified += 1
+            read = levels[: fit.levels_read]
+            bands = [_sector_band(c, cutoff, parity) for parity in (0, 1)]
+            sectors = [fock_oracle._lowest(band, levels.size) for band in bands]
+            bound = max(
+                fock_oracle._residual_bound(c, cutoff, parity, band, found[found <= read[-1]])
+                for parity, (band, found) in enumerate(zip(bands, sectors))
+            )
+            assert np.all(np.abs(read - reference[: read.size]) <= bound), cutoff
+        assert certified >= 190
+
+
 @pytest.fixture
 def asked(monkeypatch):
-    """The `count` of each low_levels call, in call order."""
+    """The `count` of each band solve, in call order; every solve runs in
+    process, where the calls are seen."""
     counts = []
-    levels = fock_oracle.low_levels
+    lowest = fock_oracle._lowest
 
-    def counted(c, cutoff, count=fock_oracle.FULL_COUNT):
+    def counted(band, count):
         counts.append(count)
-        return levels(c, cutoff, count)
+        return lowest(band, count)
 
-    monkeypatch.setattr(fock_oracle, "low_levels", counted)
+    monkeypatch.setattr(fock_oracle, "_lowest", counted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     return counts
 
 
@@ -341,6 +441,7 @@ class TestSizedSolves:
         rng = np.random.default_rng(1741)
         sets = [sample_stable_couplings(rng, _max_gap_ratio(16)) for _ in range(20)]
         config = FockConfig(fock_cutoff=16)
+        full = fock_oracle.FULL_COUNT
 
         def reports(count):
             if count is not None:
@@ -350,21 +451,34 @@ class TestSizedSolves:
 
         sized = reports(None)
         undersized = reports(4)
-        assert asked == [[4] * 20, fock_oracle.FULL_COUNT] * 2  # all solved again
-        full = reports(fock_oracle.FULL_COUNT)
+        # both sectors of every search step, then every set at twice the
+        # cutoff, are solved again in full
+        search, doubled = asked[:-80], asked[-80:]
+        assert search == [4, 4, full, full] * (len(search) // 4)
+        assert doubled == [4] * 40 + [full] * 40
+        expected_reports = reports(full)
         for checked in (sized, undersized):
-            for report, expected in zip(checked, full):
-                for flag in ("degenerate", "ambiguous", "converged"):
+            for report, expected in zip(checked, expected_reports):
+                for flag in ("degenerate", "ambiguous", "converged", "cutoff", "certified"):
                     assert getattr(report, flag) == getattr(expected, flag)
                 for name in ("omega_plus", "omega_minus", "e0"):
                     assert getattr(report, name) == pytest.approx(
                         getattr(expected, name), rel=1e-14, abs=0.0
                     )
 
-    def test_the_default_suite_asks_for_few_levels_in_one_call(self, asked):
+    def test_the_default_suite_asks_for_few_levels_once_per_step(self, asked):
         run_oracle_suite({**ORACLE_DEFAULTS, "oracle_sets": "20", "fock_cutoff": "40"})
-        assert len(asked) == 1  # no set needed a second solve
-        assert np.mean(asked[0]) <= 16
+        assert fock_oracle.FULL_COUNT not in asked  # no set needed a second solve
+        assert np.mean(asked) <= 16
+
+    def test_a_match_tolerance_of_half_the_first_gap_identifies_no_ladder(self):
+        # at fock_tol = 1 every gap matches its neighbours within the tolerance
+        table = run_oracle_suite(
+            {**ORACLE_DEFAULTS, "fock_tol": "1", "fock_cutoff": "12", "oracle_sets": "2"}
+        )
+        row = dict(zip(table.column_names, table.rows[1]))
+        assert row["ambiguous"] == 1 and row["degenerate"] == 0
+        assert np.isnan(row["ladder_residual"])
 
 
 @pytest.fixture
@@ -448,11 +562,13 @@ class TestWorkerPool:
         assert reports == [oracle_check(c, config, check_convergence=True) for c in sets]
 
     def test_no_worker_outlives_an_oracle_suite(self, pools):
+        # the fewest sets whose cutoff searches oracle_check forks
         started = pools(2)
+        n_sets = fock_oracle.SEARCH_MIN_SETS
         table = run_oracle_suite(
-            {**ORACLE_DEFAULTS, "oracle_sets": "3", "fock_cutoff": "24"}
+            {**ORACLE_DEFAULTS, "oracle_sets": str(n_sets), "fock_cutoff": "24"}
         )
-        assert len(table.rows) == 3
+        assert len(table.rows) == n_sets
         assert started == [2]
         assert_no_child_left()
 
@@ -465,7 +581,7 @@ class TestWorkerPool:
         monkeypatch.setattr(scipy.linalg, "eig_banded", failing)
         started = pools(2)
         rng = np.random.default_rng(3)
-        sets = [sample_stable_couplings(rng) for _ in range(3)]
+        sets = [sample_stable_couplings(rng) for _ in range(fock_oracle.SEARCH_MIN_SETS)]
         with pytest.raises(LinAlgError, match="band solver failed"):
             oracle_check(sets, FockConfig(fock_cutoff=24), check_convergence=False)
         assert started == [2]

@@ -21,6 +21,8 @@ from chiralpol.hopfield import discrimination, polariton_frequencies
 from chiralpol.scans import (
     CAVITY_DEFAULTS,
     N_SCAN_DEFAULTS,
+    ORACLE_DEFAULTS,
+    SCAN_COMMANDS,
     run_oracle_suite,
     scan_cavity,
     scan_n,
@@ -67,12 +69,9 @@ class TestExitCodes:
 
     def test_oracle_e0_offset_exit(self, monkeypatch):
         # every level shifted alike: the gaps still match, only E0 is off
-        levels = fock_oracle.low_levels
-        monkeypatch.setattr(
-            fock_oracle,
-            "low_levels",
-            lambda c, cutoff, count=48: [row + 1e-3 for row in levels(c, cutoff, count)],
-        )
+        # (two sets are searched in process, where the patch is seen)
+        lowest = fock_oracle._lowest
+        monkeypatch.setattr(fock_oracle, "_lowest", lambda band, count: lowest(band, count) + 1e-3)
         code, _, err = run_cli(
             ["oracle", "--set", "oracle_sets=2", "--set", "fock_cutoff=12"]
         )
@@ -195,6 +194,16 @@ class TestExitCodes:
         assert err.startswith("config error:") and err.count("\n") == 1
         assert "Traceback" not in err
         assert out == ""
+
+    def test_an_unwritable_out_fails_before_the_run(self, tmp_path, monkeypatch):
+        def not_run(table):
+            raise AssertionError("the run started")
+
+        monkeypatch.setitem(SCAN_COMMANDS, "oracle", (ORACLE_DEFAULTS, not_run))
+        path = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(["oracle", "--set", "oracle_sets=20", "--out", str(path)])
+        assert code == 1 and out == ""
+        assert err == f"config error: [Errno 2] No such file or directory: '{path}'\n"
 
     def test_a_config_file_not_in_utf8_is_a_one_line_config_error(self, tmp_path):
         path = tmp_path / "latin1.cfg"
@@ -527,7 +536,7 @@ k_par,omega_mode,effective_coupling,polariton_upper,polariton_lower
 # seed = 20240
 set_index,omega_k_bar,omega_m_tilde,coupling,xi_lambda,oracle_plus,oracle_minus,e0,\
 analytic_plus,analytic_minus,dev_plus,dev_minus,e0_dev,ladder_residual,degenerate,\
-ambiguous,converged
+ambiguous,converged,cutoff,certified
 """,
             ),
         ],
