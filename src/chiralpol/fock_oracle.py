@@ -26,14 +26,15 @@ fit's window really closed inside the levels solved. A set whose window ran
 to the last one is solved again at FULL_COUNT levels, so every report is the
 one a FULL_COUNT solve gives, up to eigenvalue ulps.
 
-low_levels and oracle_check take one parameter set or a sequence of them.
-Their tasks, one sector each for low_levels and one set's whole search each
-for oracle_check, are independent and hold the GIL, so a call large enough
-to repay the fork deals them out to one forked child per CPU, which sends its
-results back over a pipe (`_forked_map`). The children call the band solver
-directly, never low_levels; ladder fits and reports stay in the calling
-process. A report is a plain record: the oracle CSV and its columns belong to
-`scans.run_oracle_suite`.
+oracle_check takes one parameter set or a sequence of them. Each set's whole
+search is one task; the tasks are independent and hold the GIL, so a call
+with enough sets to repay the fork deals them out to one forked child per
+CPU, which sends its results back over a pipe (`_forked_map`). Ladder fits
+and reports stay in the calling process. With check_convergence a report's
+`converged` is its `certified`: no set is solved again at a larger box. A
+report is a plain record: the oracle CSV and its columns belong to
+`scans.run_oracle_suite`. low_levels solves one set at a fixed cutoff, in
+process; the oracle does not call it.
 
 LAPACK is loaded with `scipy.linalg`, which this module reaches as an
 attribute of `scipy`: SciPy imports the submodule at the first access, which
@@ -45,7 +46,7 @@ nor does it import `multiprocessing`: the fork map needs only `os`.
 import os
 import pickle
 import signal
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -55,13 +56,7 @@ from . import hopfield
 from .couplings import DerivedCouplings
 
 
-MAX_CUTOFF = 100  # the convergence re-solve at 200 keeps ~16 MB of band
-# A low_levels call whose sectors hold fewer states than this between them
-# solves in process: below it forking the children (~7 ms on 2 vCPUs) costs
-# more than the solves it spreads. Measured break-even with the sized solves:
-# ~1100 states for one set, ~1300 for two, ~1850 for three, ~2200 for five and
-# ~3000 for twenty; one set at cutoff 40 holds 1681 and is forked.
-POOL_MIN_STATES = 1600
+MAX_CUTOFF = 100  # input validation: a sector at 100 holds 5101 states
 # oracle_check forks its cutoff searches from this many sets on. At the default
 # ceiling 40 on 2 vCPUs, forked suites took 1.0-1.2 of the in-process time at
 # two and three sets, 0.90-0.97 at four and 0.65-0.75 at twenty.
@@ -73,9 +68,9 @@ RUNGS_PAST_ONSET = 5  # gaps the ladder fit compares past the stiff gap's onset
 @dataclass(frozen=True)
 class FockConfig:
     """fock_cutoff: the largest max occupation per mode that the cutoff search
-    tries, and the cutoff the convergence check doubles; fock_tol: relative
-    acceptance tolerance on the polariton frequencies. The names are the
-    oracle's config keys, so an error names the key to change."""
+    tries; fock_tol: relative acceptance tolerance on the polariton
+    frequencies. The names are the oracle's config keys, so an error names
+    the key to change."""
 
     fock_cutoff: int = 40
     fock_tol: float = 1e-8
@@ -129,12 +124,6 @@ def _sector_band(c: DerivedCouplings, cutoff: int, parity: int) -> np.ndarray:
     band[0] = c.omega_k_bar * (n + 0.5) + c.omega_m_tilde * (m + 0.5)
     band[rows - cols, cols] = np.concatenate(values)
     return band
-
-
-def _sector_levels(c: DerivedCouplings, cutoff: int, parity: int, count: int) -> np.ndarray:
-    """The lowest `count` levels of one parity sector, ascending (all of them
-    when the sector is smaller)."""
-    return _lowest(_sector_band(c, cutoff, parity), count)
 
 
 def _lowest(band: np.ndarray, count: int) -> np.ndarray:
@@ -231,7 +220,7 @@ def _certified_levels(c: DerivedCouplings, ceiling: int, count: int, tol: float)
     uncertified, when no step does.
 
     Each step solves for `count` levels, and again for FULL_COUNT when the
-    fit read all of them, as the fixed-cutoff convergence re-solve does.
+    fit read all of them.
     """
     for cutoff in _cutoff_steps(ceiling):
         bands = [_sector_band(c, cutoff, parity) for parity in (0, 1)]
@@ -303,11 +292,11 @@ def _forked_map(func, tasks: list, workers: int) -> list:
             os.waitpid(pid, 0)
 
 
-def _mapped(func, tasks: list, fork: bool) -> list:
-    """[func(*task) for task in tasks]: with `fork`, more than one CPU and
-    more than one task, in forked children (`_forked_map`)."""
+def _mapped(func, tasks: list) -> list:
+    """[func(*task) for task in tasks]: in forked children (`_forked_map`)
+    from SEARCH_MIN_SETS tasks on, when there is more than one CPU."""
     workers = min(len(os.sched_getaffinity(0)), len(tasks))
-    if workers == 1 or not fork:
+    if workers == 1 or len(tasks) < SEARCH_MIN_SETS:
         return [func(*task) for task in tasks]
     # the attribute access imports scipy.linalg here, once, so that every
     # child forks with it loaded instead of importing it (~0.26 s) itself
@@ -315,35 +304,13 @@ def _mapped(func, tasks: list, fork: bool) -> list:
     return _forked_map(func, tasks, workers)
 
 
-def low_levels(
-    c: DerivedCouplings | Sequence[DerivedCouplings],
-    cutoff: int,
-    count: int | Sequence[int] = FULL_COUNT,
-) -> np.ndarray | list[np.ndarray]:
-    """Lowest `count` eigenvalues of the truncated Hamiltonian, ascending: one
-    array for one set; for a sequence of sets, one row per set, or, with one
-    count per set, a list of one array per set.
-
-    A sector solve is a band-to-tridiagonal reduction, whose cost is fixed,
-    and a bisection for each level asked for: at cutoff 40 the reduction is
-    ~0.6 of a FULL_COUNT solve, so oracle_check asks each set for only the
-    levels its ladder fit reads (see the module note). oracle_check calls
-    this only for its fixed-cutoff convergence re-solve.
-
-    Each (set, parity) sector is one task. With more than one CPU, and at
-    least POOL_MIN_STATES states over all sectors, the tasks are dealt out
-    to forked children that live for this call only (`_forked_map`); the
-    levels are bitwise those of an in-process solve.
-    """
-    sets = [c] if isinstance(c, DerivedCouplings) else list(c)
-    counts = [count] * len(sets) if np.ndim(count) == 0 else list(count)
-    tasks = [(s, cutoff, parity, k) for s, k in zip(sets, counts) for parity in (0, 1)]
-    sectors = _mapped(_sector_levels, tasks, len(sets) * (cutoff + 1) ** 2 >= POOL_MIN_STATES)
-    pairs = zip(sectors[0::2], sectors[1::2])
-    levels = [np.sort(np.concatenate(pair))[:k] for pair, k in zip(pairs, counts)]
-    if isinstance(c, DerivedCouplings):
-        return levels[0]
-    return np.array(levels) if np.ndim(count) == 0 else levels
+def low_levels(c: DerivedCouplings, cutoff: int, count: int = FULL_COUNT) -> np.ndarray:
+    """The lowest `count` eigenvalues of one set's Hamiltonian truncated at
+    `cutoff`, ascending (all of them when the box holds fewer), solved in
+    process: a fixed-cutoff reference for the cutoff search, which calls the
+    band solver directly and never this."""
+    sectors = [_lowest(_sector_band(c, cutoff, parity), count) for parity in (0, 1)]
+    return np.sort(np.concatenate(sectors))[:count]
 
 
 def _lattice(om_minus: float, om_plus: float, limit: float, count: int) -> np.ndarray:
@@ -460,7 +427,8 @@ class OracleReport:
     """Comparison of the Fock-oracle gaps against the analytic frequencies.
     `cutoff` is the box the levels come from; `certified` says whether its
     residual bounds hold every level the fit read within fock_tol (E1 - E0)/2.
-    `converged` is None without the convergence check."""
+    `converged` is None without the convergence check, and `certified` with
+    it."""
 
     omega_plus: float
     omega_minus: float
@@ -494,27 +462,19 @@ def oracle_check(
     a set whose fit read every level solved is solved again at FULL_COUNT
     levels, so a report never rests on a window cut short. E0 is compared
     against the vacuum energy (Omega+ + Omega-)/2, whose enantiomer
-    difference is the discriminating Delta E_vac. With check_convergence the
-    sets are solved again at twice fock_cutoff, by low_levels, and
-    `converged` records whether the deviations stopped growing (down to the
-    tol floor).
+    difference is the discriminating Delta E_vac. With check_convergence
+    `converged` is filled in as `certified`: the residual bounds are the
+    truncation check, and no set is solved again at a larger cutoff.
     """
     sets = [c] if isinstance(c, DerivedCouplings) else list(c)
     analytic = [hopfield.polariton_frequencies(s) for s in sets]
     counts = [_sized_count(plus, minus, config.fock_tol) for plus, minus in analytic]
-
-    def deviations(fit: LadderFit, analytic_plus: float, analytic_minus: float):
-        return (
-            abs(fit.omega_plus - analytic_plus) / analytic_plus,
-            abs(fit.omega_minus - analytic_minus) / max(analytic_minus, 1e-300),
-        )
-
     tasks = [(s, config.fock_cutoff, k, config.fock_tol) for s, k in zip(sets, counts)]
-    searched = _mapped(_certified_levels, tasks, len(tasks) >= SEARCH_MIN_SETS)
     reports = []
-    for (analytic_plus, analytic_minus), (cutoff, certified, levels) in zip(analytic, searched):
+    for (analytic_plus, analytic_minus), (cutoff, certified, levels) in zip(
+        analytic, _mapped(_certified_levels, tasks)
+    ):
         fit = fit_ladder(levels, config.fock_tol)
-        dev_plus, dev_minus = deviations(fit, analytic_plus, analytic_minus)
         e_vac = 0.5 * (analytic_plus + analytic_minus)
         reports.append(
             OracleReport(
@@ -523,32 +483,15 @@ def oracle_check(
                 e0=float(levels[0]),
                 analytic_plus=analytic_plus,
                 analytic_minus=analytic_minus,
-                deviation_plus=dev_plus,
-                deviation_minus=dev_minus,
+                deviation_plus=abs(fit.omega_plus - analytic_plus) / analytic_plus,
+                deviation_minus=abs(fit.omega_minus - analytic_minus) / max(analytic_minus, 1e-300),
                 e0_deviation=abs(float(levels[0]) - e_vac) / e_vac,
                 ladder_residual=fit.residual,
                 degenerate=fit.degenerate,
                 ambiguous=fit.ambiguous,
                 cutoff=cutoff,
                 certified=certified,
+                converged=certified if check_convergence else None,
             )
         )
-    if check_convergence:
-        doubled = 2 * config.fock_cutoff
-        levels = low_levels(sets, doubled, counts)
-        fits = [fit_ladder(row, config.fock_tol) for row in levels]
-        again = [
-            i
-            for i, (row, fit) in enumerate(zip(levels, fits))
-            if fit.levels_read == row.size and counts[i] < FULL_COUNT
-        ]
-        if again:
-            for i, row in zip(again, low_levels([sets[i] for i in again], doubled)):
-                fits[i] = fit_ladder(row, config.fock_tol)
-        for i, (fit, report) in enumerate(zip(fits, reports)):
-            dev_plus, dev_minus = deviations(fit, report.analytic_plus, report.analytic_minus)
-            converged = dev_plus <= max(report.deviation_plus, config.fock_tol) and (
-                dev_minus <= max(report.deviation_minus, config.fock_tol)
-            )
-            reports[i] = replace(report, converged=converged)
     return reports[0] if isinstance(c, DerivedCouplings) else reports

@@ -435,8 +435,10 @@ def run_oracle_suite(table: dict) -> ScanTable:
     Each set is solved at the smallest cutoff step whose residual bound
     certifies the levels its fit reads, up to fock_cutoff; the `cutoff`
     column gives that box and `certified` whether the bound held there.
-    Deterministic for a fixed seed. A worst relative deviation of either
-    branch or of E0 above tol sets the table's `failure` (CLI exit status 2).
+    With check_convergence, `converged` repeats `certified`; without it,
+    it is NaN. Deterministic for a fixed seed. A worst relative deviation of
+    either branch or of E0 above tol sets the table's `failure` (CLI exit
+    status 2).
     """
     n_sets = config_int(table, "oracle_sets")
     _require(n_sets >= 1, "oracle_sets", n_sets, "must be at least 1")
@@ -474,7 +476,7 @@ def run_oracle_suite(table: dict) -> ScanTable:
             report.ladder_residual,
             report.degenerate,
             report.ambiguous,
-            report.converged,  # None (NaN) without the convergence check
+            report.converged,  # certified with the convergence check, else None (NaN)
             report.cutoff,
             report.certified,
         )

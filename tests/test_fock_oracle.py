@@ -355,8 +355,10 @@ class TestCertificate:
         sets = default_sets(200)
         counts = [fock_oracle._sized_count(*polariton_frequencies(c), tol) for c in sets]
         tasks = [(c, 40, k, tol) for c, k in zip(sets, counts)]
-        searched = fock_oracle._mapped(fock_oracle._certified_levels, tasks, True)
-        at_40 = low_levels(sets, 40, [levels.size for _, _, levels in searched])
+        searched = fock_oracle._mapped(fock_oracle._certified_levels, tasks)
+        at_40 = fock_oracle._mapped(
+            low_levels, [(c, 40, levels.size) for c, (_, _, levels) in zip(sets, searched)]
+        )
         certified = 0
         for c, (cutoff, ok, levels), reference in zip(sets, searched, at_40):
             fit, fit_40 = fit_ladder(levels, tol), fit_ladder(reference, tol)
@@ -451,11 +453,8 @@ class TestSizedSolves:
 
         sized = reports(None)
         undersized = reports(4)
-        # both sectors of every search step, then every set at twice the
-        # cutoff, are solved again in full
-        search, doubled = asked[:-80], asked[-80:]
-        assert search == [4, 4, full, full] * (len(search) // 4)
-        assert doubled == [4] * 40 + [full] * 40
+        # both sectors of every search step are solved again in full
+        assert asked == [4, 4, full, full] * (len(asked) // 4)
         expected_reports = reports(full)
         for checked in (sized, undersized):
             for report, expected in zip(checked, expected_reports):
@@ -465,6 +464,22 @@ class TestSizedSolves:
                     assert getattr(report, name) == pytest.approx(
                         getattr(expected, name), rel=1e-14, abs=0.0
                     )
+
+    def test_the_convergence_check_solves_no_box_above_the_ceiling(self, asked, monkeypatch):
+        # converged is the certificate: no band is built past fock_cutoff,
+        # and at the ceiling 12 some sets are certified and some are not
+        built = []
+        band = fock_oracle._sector_band
+
+        def recorded(c, cutoff, parity):
+            built.append(cutoff)
+            return band(c, cutoff, parity)
+
+        monkeypatch.setattr(fock_oracle, "_sector_band", recorded)
+        reports = oracle_check(default_sets(8), FockConfig(fock_cutoff=12), check_convergence=True)
+        assert max(built) == 12
+        assert [r.converged for r in reports] == [r.certified for r in reports]
+        assert {r.certified for r in reports} == {True, False}
 
     def test_the_default_suite_asks_for_few_levels_once_per_step(self, asked):
         run_oracle_suite({**ORACLE_DEFAULTS, "oracle_sets": "20", "fock_cutoff": "40"})
@@ -483,8 +498,8 @@ class TestSizedSolves:
 
 @pytest.fixture
 def pools(monkeypatch):
-    """cpus(n) makes low_levels see n CPUs; the list holds the number of
-    children each pooled call forks."""
+    """cpus(n) makes the oracle see n CPUs; the list holds the number of
+    children each forked call starts."""
     started = []
     children = []
     fork, forked_map = os.fork, fock_oracle._forked_map
@@ -520,44 +535,43 @@ def assert_no_child_left():
 
 
 class TestWorkerPool:
-    # (sets, cutoff) with at least POOL_MIN_STATES states between them; the
-    # sectors hold 13 and 12 states at cutoff 4, fewer than the 48 levels
-    @pytest.mark.parametrize("n_sets, cutoff", [(72, 4), (3, 40)])
-    def test_pooled_levels_are_the_in_process_levels_bitwise(self, pools, n_sets, cutoff):
+    # oracle_check forks its cutoff searches, one task per set, from
+    # SEARCH_MIN_SETS sets on; at the ceiling 4 the sectors hold 13 and 12
+    # states, fewer than the 48 levels, and nine sets deal out unevenly
+    @pytest.mark.parametrize("n_sets, cutoff", [(fock_oracle.SEARCH_MIN_SETS, 40), (9, 4)])
+    def test_forked_reports_are_the_in_process_reports_bitwise(self, pools, n_sets, cutoff):
         rng = np.random.default_rng(13)
         sets = [sample_stable_couplings(rng) for _ in range(n_sets)]
+        config = FockConfig(fock_cutoff=cutoff)
         started = pools(1)
-        alone = low_levels(sets, cutoff)
+        alone = oracle_check(sets, config, check_convergence=True)
         assert started == []
         pools(2)
-        pooled = low_levels(sets, cutoff)
+        forked = oracle_check(sets, config, check_convergence=True)
         assert started == [2]
-        assert pooled.shape == (n_sets, min(48, (cutoff + 1) ** 2))
-        assert np.array_equal(pooled, alone)
+        assert len(forked) == n_sets
+        assert repr(forked) == repr(alone)  # repr gives every float exactly
 
     def test_a_pool_has_no_more_workers_than_tasks(self, pools):
         started = pools(8)
-        low_levels(couplings(g=0.1, xi=0.3), 40)
-        assert started == [2]  # one set: two parity sectors
+        oracle_check([couplings(g=0.1, xi=0.3)] * fock_oracle.SEARCH_MIN_SETS)
+        assert started == [fock_oracle.SEARCH_MIN_SETS]  # one search per set
 
     def test_small_calls_stay_in_process(self, pools):
-        # one set at cutoff 4 solves in ~0.3 ms, forking takes ~7 ms; one set
-        # at the default cutoff 40 is still forked
+        # a search takes a few ms, forking ~7 ms on 2 vCPUs: calls with fewer
+        # sets than SEARCH_MIN_SETS stay in process, at any ceiling
         started = pools(2)
         c = couplings(g=0.1, xi=0.3)
-        assert 2 * (4 + 1) ** 2 < fock_oracle.POOL_MIN_STATES <= (40 + 1) ** 2
-        low_levels([c, c], 4)
+        oracle_check(c)
+        oracle_check([c] * (fock_oracle.SEARCH_MIN_SETS - 1))
         assert started == []
-        low_levels(c, 40)
+        oracle_check([c] * fock_oracle.SEARCH_MIN_SETS)
         assert started == [2]
 
     def test_batch_equals_its_sets_one_by_one(self):
         rng = np.random.default_rng(5)
         sets = [sample_stable_couplings(rng) for _ in range(4)]
         config = FockConfig(fock_cutoff=12)
-        batch = low_levels(sets, 12, count=20)
-        for c, row in zip(sets, batch):
-            assert np.array_equal(row, low_levels(c, 12, count=20))
         reports = oracle_check(sets, config, check_convergence=True)
         assert reports == [oracle_check(c, config, check_convergence=True) for c in sets]
 
@@ -589,8 +603,8 @@ class TestWorkerPool:
 
     def test_scipy_linalg_is_loaded_before_the_pool_forks(self):
         # a fresh interpreter, since this one loaded scipy.linalg long ago:
-        # importing the oracle leaves it unloaded, and a pooled call loads it
-        # in the parent before the pool starts, so no worker imports it
+        # importing the oracle leaves it unloaded, and a forked call loads it
+        # in the parent before the children start, so no child imports it
         script = """
 import os, sys
 from chiralpol import fock_oracle
@@ -607,7 +621,7 @@ os.fork = recorded_fork
 os.sched_getaffinity = lambda pid: {0, 1}
 c = DerivedCouplings(1.0, 1.0, 0.1, 0.3, 0.1, 0.3, n_emitters=1, handedness=1)
 assert "scipy.linalg" not in sys.modules
-fock_oracle.low_levels(c, 40)
+fock_oracle.oracle_check([c] * fock_oracle.SEARCH_MIN_SETS)
 assert loaded and all(loaded), loaded
 """
         result = subprocess.run(
@@ -620,24 +634,26 @@ assert loaded and all(loaded), loaded
         assert result.returncode == 0, result.stderr
 
 
-# a fresh interpreter that sees two CPUs, with four sets at the default
-# cutoff 40: enough states between them that low_levels forks
+# a fresh interpreter that sees two CPUs, with SEARCH_MIN_SETS distinct sets at
+# the default ceiling 40: enough that oracle_check forks their searches
 FORKING = """
 import gc, os, signal, sys
 from chiralpol import fock_oracle
 from chiralpol.couplings import DerivedCouplings
 
 os.sched_getaffinity = lambda pid: {0, 1}
-sets = [DerivedCouplings(1.0, 1.0, 0.1, 0.3, 0.1, 0.3, n_emitters=1, handedness=1)] * 4
-assert 4 * 41**2 >= fock_oracle.POOL_MIN_STATES
+sets = [
+    DerivedCouplings(1.0, 1.0, 0.1, 0.3, 0.1, 0.3, n_emitters=1, handedness=1)
+    for _ in range(fock_oracle.SEARCH_MIN_SETS)
+]
 parent = os.getpid()
-solve = fock_oracle._sector_levels
+search = fock_oracle._certified_levels
 
-def killed_in_a_child(c, cutoff, parity, count):
-    # the child of the first chunk dies; the other is still solving
-    if os.getpid() != parent and parity == 0:
+def killed_in_a_child(c, ceiling, count, tol):
+    # the first child dies at its first set; the other runs to its end
+    if os.getpid() != parent and c is sets[0]:
         os.kill(os.getpid(), signal.SIGKILL)
-    return solve(c, cutoff, parity, count)
+    return search(c, ceiling, count, tol)
 
 def no_child_left():
     try:
@@ -662,9 +678,9 @@ class TestForkedMap:
     def test_a_killed_child_is_one_clear_error(self):
         result = run_forking(
             """
-fock_oracle._sector_levels = killed_in_a_child
+fock_oracle._certified_levels = killed_in_a_child
 try:
-    fock_oracle.low_levels(sets, 40)
+    fock_oracle.oracle_check(sets)
 except ChildProcessError as error:
     print(error)
 print(no_child_left())
@@ -687,12 +703,12 @@ print(no_child_left())
         def failing_load(pipe):
             raise OSError("read failed")
 
-        monkeypatch.setattr(fock_oracle, "_sector_levels", sleeping_in_a_child)
+        monkeypatch.setattr(fock_oracle, "_certified_levels", sleeping_in_a_child)
         monkeypatch.setattr(fock_oracle.pickle, "load", failing_load)
         started = pools(2)
         begin = time.perf_counter()
         with pytest.raises(OSError, match="read failed"):
-            low_levels(couplings(g=0.1, xi=0.3), 40)
+            oracle_check([couplings(g=0.1, xi=0.3)] * fock_oracle.SEARCH_MIN_SETS)
         assert time.perf_counter() - begin < 30
         assert started == [2]
         assert_no_child_left()
@@ -703,16 +719,16 @@ print(no_child_left())
 def open_fds():
     return len(os.listdir("/proc/self/fd"))
 
-def failing(c, cutoff, parity, count):
-    raise ValueError("solve failed")
+def failing(c, ceiling, count, tol):
+    raise ValueError("search failed")
 
 counts = [open_fds()]
-fock_oracle.low_levels(sets, 40)
+fock_oracle.oracle_check(sets)
 counts.append(open_fds())
-for solver in (killed_in_a_child, failing):
-    fock_oracle._sector_levels = solver
+for searcher in (killed_in_a_child, failing):
+    fock_oracle._certified_levels = searcher
     try:
-        fock_oracle.low_levels(sets, 40)
+        fock_oracle.oracle_check(sets)
     except (ChildProcessError, ValueError) as error:
         print(type(error).__name__)
     counts.append(open_fds())
@@ -734,7 +750,7 @@ print(no_child_left())
         result = run_forking(
             """
 sys.stdout.write("written before the fork\\n")
-fock_oracle.low_levels(sets, 40)
+fock_oracle.oracle_check(sets)
 """
         )
         assert result.returncode == 0, result.stderr

@@ -64,6 +64,7 @@ def test_no_unused_imports():
 UNREAD_BUT_KEPT = {
     "hopfield.hopfield_coefficients": "perfbench/spans.py rebinds it as a traced stage",
     "config.read_csv_metadata": "the documented way to rerun from a CSV header",
+    "fock_oracle.low_levels": "perfbench/spans.py rebinds it; the tests' fixed-cutoff solver",
 }
 
 

@@ -676,11 +676,15 @@ class TestOracleSuiteSampling:
         )
         assert code == 0
         header, *rows = [line for line in out.splitlines() if not line.startswith("#")]
-        column = header.split(",").index("converged")
-        converged = [float(row.split(",")[column]) for row in rows]
+        names = header.split(",")
+        converged, certified = (
+            [float(row.split(",")[names.index(name)]) for row in rows]
+            for name in ("converged", "certified")
+        )
         assert len(converged) == 2
         if check == "1":
             assert all(value in (0.0, 1.0) for value in converged)
+            assert converged == certified  # the residual bound is the check
         else:
             assert all(np.isnan(value) for value in converged)
 
