@@ -14,8 +14,8 @@ certificate accepts. It tries the cutoffs 8, 12, ..., 32, then even steps
 of at most x1.25 up to fock_cutoff, its ceiling. At each step the set's levels come
 from the band solver, and the ladder fit reads its window off them; two steps
 of shifted inverse iteration then give vectors for the levels read, and their
-residual in the untruncated Hamiltonian, the leak through the box's boundary
-included, bounds how far each level is from a true one. The first box whose
+residual in the untruncated Hamiltonian, which the band of box C + 1 gives in
+full, bounds how far each level is from a true one. The first box whose
 bound is at most fock_tol (E1 - E0)/2 on every level read is accepted, so
 each gap is certified within fock_tol Omega-. A set that no box certifies is
 reported from the ceiling solve. The analytic values never accept a box.
@@ -92,14 +92,6 @@ def _sector_states(cutoff: int, parity: int) -> tuple[np.ndarray, np.ndarray]:
     return n[sector], m[sector]
 
 
-def _weights(c: DerivedCouplings) -> tuple[float, float]:
-    """The pair and swap couplings g(1 - p) and g(1 + p), with g = sqrt(N) g~
-    and p = xi~ lambda."""
-    g_root = np.sqrt(c.n_emitters) * c.g_tilde
-    p = c.xi_tilde * c.handedness
-    return g_root * (1 - p), g_root * (1 + p)
-
-
 def _sector_band(c: DerivedCouplings, cutoff: int, parity: int) -> np.ndarray:
     """Lower band storage, band[d, j] = H[j + d, j], of the real-gauge H
     (photon phase a -> i a turns the +-i couplings real) on the states |n, m>
@@ -113,8 +105,10 @@ def _sector_band(c: DerivedCouplings, cutoff: int, parity: int) -> np.ndarray:
 
     rows, cols, values = [], [], []
     # pair term g(1 - p) sqrt((n+1)(m+1)) to |n+1, m+1>,
-    # swap term g(1 + p) sqrt((n+1)m) to |n+1, m-1>
-    for step, weight in zip((1, -1), _weights(c)):
+    # swap term g(1 + p) sqrt((n+1)m) to |n+1, m-1>; g = sqrt(N) g~, p = xi~ lambda
+    g_root = np.sqrt(c.n_emitters) * c.g_tilde
+    p = c.xi_tilde * c.handedness
+    for step, weight in ((1, g_root * (1 - p)), (-1, g_root * (1 + p))):
         link = (n < cutoff) & (0 <= m + step) & (m + step <= cutoff)
         rows.append(index[n[link] + 1, m[link] + step])
         cols.append(link.nonzero()[0])
@@ -133,32 +127,6 @@ def _lowest(band: np.ndarray, count: int) -> np.ndarray:
     )
 
 
-def _leak(c: DerivedCouplings, cutoff: int, parity: int, vectors: np.ndarray) -> np.ndarray:
-    """The part of H v outside the box, for each column v of `vectors` on the
-    sector's states: rows |C+1, m> for m = 0 .. C+1, then |n, C+1> for
-    n = 0 .. C, with C the cutoff.
-
-    Only the boundary states couple out. From |C, m> the pair term reaches
-    |C+1, m+1> and the swap |C+1, m-1>; from |n, C> the pair term reaches
-    |n+1, C+1> and the conjugate swap |n-1, C+1>. The pair term from |C, C>
-    is in both lists and counts once; terms that reach one state add up.
-    """
-    n, m = _sector_states(cutoff, parity)
-    pair, swap = _weights(c)
-    top = cutoff + 1.0
-    row_of_m = cutoff + 2 + n  # the row of |n, C+1>
-    terms = (
-        (n == cutoff, m + 1, pair * np.sqrt(top * (m + 1))),
-        ((n == cutoff) & (m > 0), m - 1, swap * np.sqrt(top * m)),
-        ((m == cutoff) & (n < cutoff), row_of_m + 1, pair * np.sqrt((n + 1) * top)),
-        ((m == cutoff) & (n > 0), row_of_m - 1, swap * np.sqrt(n * top)),
-    )
-    leak = np.zeros((2 * cutoff + 3, vectors.shape[1]))
-    for source, row, weight in terms:  # one term reaches each row at most once
-        leak[row[source]] += weight[source, None] * vectors[source]
-    return leak
-
-
 def _residual_bound(c: DerivedCouplings, cutoff: int, parity: int, band, levels) -> float:
     """A bound r such that each of `levels`, the lowest levels of one sector
     from eig_banded, lies within r of its own eigenvalue of the untruncated
@@ -168,9 +136,10 @@ def _residual_bound(c: DerivedCouplings, cutoff: int, parity: int, band, levels)
     vector per level. Rayleigh-Ritz on the orthonormalized block Q, with
     A = Q^T H Q, puts the eigenvalues of A within ||H Q - Q A||_2 of as many
     distinct eigenvalues of H, so a multiple level counts with its
-    multiplicity. The residual has the in-box rows H_C Q - Q A and the leak
-    of Q out of the box; the bound adds how far each level is from its
-    eigenvalue of A.
+    multiplicity. Q sits on the states of the next box, C + 1, zero outside
+    box C. Every coupling moves n and m by one, so the next box's H gives
+    H Q in full: its rows inside box C are H_C Q, the rest the leak of Q out
+    of the box. The bound adds how far each level is from its eigenvalue of A.
     """
     lower = band.shape[0] - 1
     size = band.shape[1]
@@ -187,14 +156,16 @@ def _residual_bound(c: DerivedCouplings, cutoff: int, parity: int, band, levels)
             vectors[:, j] = scipy.linalg.solve_banded(
                 (lower, lower), full, vectors[:, j], check_finite=False
             )
-    q = np.linalg.qr(vectors)[0]
-    hq = band[0, :, None] * q
-    for d in range(1, lower + 1):
-        hq[d:] += band[d, :-d, None] * q[:-d]
-        hq[:-d] += band[d, :-d, None] * q[d:]
+    n, m = _sector_states(cutoff + 1, parity)
+    q = np.zeros((n.size, levels.size))  # on the next box's states, zero outside this box
+    q[(n <= cutoff) & (m <= cutoff)] = np.linalg.qr(vectors)[0]
+    next_band = _sector_band(c, cutoff + 1, parity)
+    hq = next_band[0, :, None] * q
+    for d in range(1, next_band.shape[0]):
+        hq[d:] += next_band[d, :-d, None] * q[:-d]
+        hq[:-d] += next_band[d, :-d, None] * q[d:]
     a = q.T @ hq
-    residual = np.vstack((hq - q @ a, _leak(c, cutoff, parity, q)))
-    return np.linalg.norm(residual, 2) + np.max(np.abs(np.linalg.eigvalsh(a) - levels))
+    return np.linalg.norm(hq - q @ a, 2) + np.max(np.abs(np.linalg.eigvalsh(a) - levels))
 
 
 def _cutoff_steps(ceiling: int) -> list[int]:
@@ -337,7 +308,8 @@ class LadderFit:
     unidentifiable ladders, and an unidentified one has a NaN residual: so is
     every ladder when the match tolerance, 10 tol (|E0| + omega_minus), is at
     least half the first gap. `levels_read` counts the levels, from E0 up,
-    that the fit compared: every level it was given when no stiff gap showed.
+    that the fit compared: E0 and E1 when the match tolerance identifies no
+    ladder, and every level it was given when no stiff gap showed.
     """
 
     omega_minus: float
@@ -358,8 +330,9 @@ def fit_ladder(levels, tol: float) -> LadderFit:
         raise ValueError("first gap is nonpositive; spectrum is not a ladder")
     match_tol = 10.0 * tol * (abs(float(levels[0])) + om)  # two gaps this close are equal
     if match_tol >= 0.5 * om:
-        # every rung would match a neighbour's: no ladder can be identified
-        return LadderFit(om, om, float("nan"), False, True, levels.size)
+        # every rung would match a neighbour's: no ladder can be identified,
+        # and no level past E1 is compared
+        return LadderFit(om, om, float("nan"), False, True, 2)
 
     # Walk up the pure soft ladder om, 2 om, 3 om, ...; the first position
     # that breaks the pattern marks the onset of the stiff gap, either as a

@@ -120,9 +120,12 @@ class TestHamiltonianBuild:
             full[np.ix_(hand_indices, hand_indices)], expected, atol=1e-15
         )
 
-    def test_sector_bands_are_the_gauged_complex_hamiltonian(self):
-        cutoff = 6
-        c = couplings(w_photon=1.2, w_matter=0.8, g=0.11, xi=-0.6)
+    # xi = -1 has no swap term, xi = +1 no pair term; the certificate applies
+    # the band one box up, so an odd cutoff is checked as well as an even one
+    @pytest.mark.parametrize("xi", [-1.0, -0.6, 1.0])
+    @pytest.mark.parametrize("cutoff", [6, 7])
+    def test_sector_bands_are_the_gauged_complex_hamiltonian(self, cutoff, xi):
+        c = couplings(w_photon=1.2, w_matter=0.8, g=0.11, xi=xi)
         dim = cutoff + 1
         n_photon, n_matter = np.divmod(np.arange(dim * dim), dim)
         gauge = np.diag(1j**n_photon)  # photon phase a -> i a
@@ -287,30 +290,9 @@ def default_sets(count: int) -> list:
 
 
 class TestCertificate:
-    # the residual bound that accepts a box: its leak term against the next
-    # box's matrix, the accepted box against a dense recomputation, and the
-    # certified levels against the cutoff-40 ones
-
-    @pytest.mark.parametrize("cutoff", [8, 12])
-    def test_the_leak_is_the_part_of_the_next_box_outside_this_one(self, cutoff):
-        rng = np.random.default_rng(cutoff)
-        # xi = -1 has no swap term, xi = +1 no pair term
-        chiral = [couplings(g=0.2, xi=xi) for xi in (-1.0, 1.0)]
-        for c in [sample_stable_couplings(rng) for _ in range(3)] + chiral:
-            for parity in (0, 1):
-                n, m = fock_oracle._sector_states(cutoff + 1, parity)
-                inside = (n <= cutoff) & (m <= cutoff)
-                vectors = rng.standard_normal((np.count_nonzero(inside), 3))
-                padded = np.zeros((n.size, 3))
-                padded[inside] = vectors
-                outside = (unpacked(_sector_band(c, cutoff + 1, parity)) @ padded)[~inside]
-                # the leak's rows: |C+1, m> by m, then |n, C+1> by n
-                rows = np.where(n[~inside] > cutoff, m[~inside], cutoff + 2 + n[~inside])
-                leak = fock_oracle._leak(c, cutoff, parity, vectors)
-                assert_allclose(leak[rows], outside, rtol=0, atol=1e-15 * np.abs(outside).max())
-                others = np.ones(len(leak), dtype=bool)
-                others[rows] = False  # the states of the other parity
-                assert not leak[others].any()
+    # the residual bound that accepts a box: the cutoff steps, the accepted
+    # box against a dense recomputation, and the certified levels against the
+    # cutoff-40 ones
 
     def test_the_cutoff_steps_grow_by_at_most_a_quarter_up_to_the_ceiling(self):
         assert fock_oracle._cutoff_steps(40) == [8, 12, 16, 20, 24, 28, 32, 40]
@@ -323,7 +305,7 @@ class TestCertificate:
 
     def test_the_accepted_box_is_the_first_that_certifies_every_level_read(self):
         # dense eigenvectors and the next box's dense matrix give each level's
-        # residual independently of the inverse iteration and of _leak
+        # residual independently of the inverse iteration and of the band matvec
         tol = 1e-8
         sets = default_sets(12)
         steps = fock_oracle._cutoff_steps(40)
@@ -466,18 +448,26 @@ class TestSizedSolves:
                     )
 
     def test_the_convergence_check_solves_no_box_above_the_ceiling(self, asked, monkeypatch):
-        # converged is the certificate: no band is built past fock_cutoff,
-        # and at the ceiling 12 some sets are certified and some are not
-        built = []
-        band = fock_oracle._sector_band
+        # converged is the certificate: no band wider than a sector at
+        # fock_cutoff is solved, the residual bound builds bands one box up
+        # and no higher, and at the ceiling 12 some sets are certified and
+        # some are not
+        built, solved = [], []
+        band, lowest = fock_oracle._sector_band, fock_oracle._lowest
 
-        def recorded(c, cutoff, parity):
+        def recorded_band(c, cutoff, parity):
             built.append(cutoff)
             return band(c, cutoff, parity)
 
-        monkeypatch.setattr(fock_oracle, "_sector_band", recorded)
+        def recorded_solve(band, count):
+            solved.append(band.shape[1])
+            return lowest(band, count)
+
+        monkeypatch.setattr(fock_oracle, "_sector_band", recorded_band)
+        monkeypatch.setattr(fock_oracle, "_lowest", recorded_solve)
         reports = oracle_check(default_sets(8), FockConfig(fock_cutoff=12), check_convergence=True)
-        assert max(built) == 12
+        assert max(solved) == max(fock_oracle._sector_states(12, p)[0].size for p in (0, 1))
+        assert max(built) == 13
         assert [r.converged for r in reports] == [r.certified for r in reports]
         assert {r.certified for r in reports} == {True, False}
 
@@ -486,14 +476,18 @@ class TestSizedSolves:
         assert fock_oracle.FULL_COUNT not in asked  # no set needed a second solve
         assert np.mean(asked) <= 16
 
-    def test_a_match_tolerance_of_half_the_first_gap_identifies_no_ladder(self):
-        # at fock_tol = 1 every gap matches its neighbours within the tolerance
+    def test_a_match_tolerance_of_half_the_first_gap_identifies_no_ladder(self, asked):
+        # at fock_tol = 1 every gap matches its neighbours within the tolerance;
+        # the fit compares no level past E1, so the search certifies those two
+        # at the first step instead of running to the ceiling
         table = run_oracle_suite(
             {**ORACLE_DEFAULTS, "fock_tol": "1", "fock_cutoff": "12", "oracle_sets": "2"}
         )
-        row = dict(zip(table.column_names, table.rows[1]))
-        assert row["ambiguous"] == 1 and row["degenerate"] == 0
-        assert np.isnan(row["ladder_residual"])
+        rows = [dict(zip(table.column_names, row)) for row in table.rows]
+        assert rows[1]["ambiguous"] == 1 and rows[1]["degenerate"] == 0
+        assert np.isnan(rows[1]["ladder_residual"])
+        assert [(row["cutoff"], row["certified"]) for row in rows] == [(8, 1), (8, 1)]
+        assert fock_oracle.FULL_COUNT not in asked
 
 
 @pytest.fixture
