@@ -6,19 +6,24 @@ already eliminated); the basis keeps every |n, m> with n, m <= cutoff. The
 coupling changes both occupations by one, so each parity sector of n + m,
 ordered by n, then m, is a band of half-width about cutoff/2 in a real gauge,
 and LAPACK's band solver gives its lowest levels (two 841-dimensional sectors
-at the default cutoff 40). The tests hold the faithful complex Hermitian
-matrix on the full basis and check the sectors against it.
+at the default cutoff 40). A sector's states and links depend only on
+(cutoff, parity) and are cached; a band fills in only the couplings. The
+tests hold the faithful complex Hermitian matrix on the full basis and check
+the sectors against it.
 
 oracle_check solves each set at the smallest box that a residual
 certificate accepts. It tries the cutoffs 8, 12, ..., 32, then even steps
 of at most x1.25 up to fock_cutoff, its ceiling. At each step the set's levels come
 from the band solver, and the ladder fit reads its window off them; two steps
-of shifted inverse iteration then give vectors for the levels read, and their
-residual in the untruncated Hamiltonian, which the band of box C + 1 gives in
-full, bounds how far each level is from a true one. The first box whose
-bound is at most fock_tol (E1 - E0)/2 on every level read is accepted, so
-each gap is certified within fock_tol Omega-. A set that no box certifies is
-reported from the ceiling solve. The analytic values never accept a box.
+of inverse iteration, on one banded LU of the band shifted just below each
+level, then give vectors for the levels read, and their residual in the
+untruncated Hamiltonian, which the band of box C + 1 gives in full, bounds
+how far each level is from a true one. The first box whose bound is at most
+fock_tol (E1 - E0)/2 on every level read is accepted, so each gap is
+certified within fock_tol Omega-; a step bounds the even sector, which holds
+E0, first, and fails at its first sector above that. A set that no box
+certifies is reported from the ceiling solve. The analytic values never
+accept a box.
 
 Each solve is sized from the set's analytic ladder: it asks for the levels
 the ladder fit would read on that ladder, plus two, and then checks that the
@@ -28,8 +33,9 @@ one a FULL_COUNT solve gives, up to eigenvalue ulps.
 
 oracle_check takes one parameter set or a sequence of them. Each set's whole
 search is one task; the tasks are independent and hold the GIL, so a call
-with enough sets to repay the fork deals them out to one forked child per
-CPU, which sends its results back over a pipe (`_forked_map`). Ladder fits
+with enough sets to repay the fork runs them in one forked child per CPU.
+A child takes the next task from a shared pipe whenever it is free and sends
+its results back over a pipe of its own (`_forked_map`). Ladder fits
 and reports stay in the calling process. With check_convergence a report's
 `converged` is its `certified`: no set is solved again at a larger box. A
 report is a plain record: the oracle CSV and its columns belong to
@@ -43,11 +49,12 @@ Importing this module, and with it the CLI, does not import `scipy.linalg`;
 nor does it import `multiprocessing`: the fork map needs only `os`.
 """
 
+import functools
 import os
 import pickle
 import signal
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 import scipy
@@ -63,6 +70,8 @@ MAX_CUTOFF = 100  # input validation: a sector at 100 holds 5101 states
 SEARCH_MIN_SETS = 4
 FULL_COUNT = 48  # levels of an unsized solve, and the most a sized one asks for
 RUNGS_PAST_ONSET = 5  # gaps the ladder fit compares past the stiff gap's onset
+RECORD = 4  # bytes of one task index in the fork map's shared pipe
+PIPE_BUF = 512  # POSIX's least PIPE_BUF: a pipe write of at most this many bytes is atomic
 
 
 @dataclass(frozen=True)
@@ -92,6 +101,39 @@ def _sector_states(cutoff: int, parity: int) -> tuple[np.ndarray, np.ndarray]:
     return n[sector], m[sector]
 
 
+class _Sector(NamedTuple):
+    """What a sector's band needs besides the couplings, all read-only.
+
+    n, m: the occupations of its states; inner: the states inside box
+    cutoff - 1; links: (band rows, columns, square-root factors) of the pair
+    and of the swap term; width: band rows."""
+
+    n: np.ndarray
+    m: np.ndarray
+    inner: np.ndarray
+    links: tuple
+    width: int
+
+
+@functools.lru_cache(maxsize=2 * (MAX_CUTOFF + 2))  # both parities, boxes 0 to MAX_CUTOFF + 1
+def _sector(cutoff: int, parity: int) -> _Sector:
+    n, m = _sector_states(cutoff, parity)
+    index = np.zeros((cutoff + 1, cutoff + 1), dtype=int)
+    index[n, m] = np.arange(n.size)
+    links = []
+    # pair term to |n+1, m+1>, swap term to |n+1, m-1>
+    for step in (1, -1):
+        link = (n < cutoff) & (0 <= m + step) & (m + step <= cutoff)
+        cols = link.nonzero()[0]
+        rows = index[n[link] + 1, m[link] + step] - cols
+        links.append((rows, cols, np.sqrt((n[link] + 1.0) * np.maximum(m, m + step)[link])))
+    width = int(np.max(np.concatenate([rows for rows, _, _ in links]))) + 1
+    inner = (n < cutoff) & (m < cutoff)
+    for array in (n, m, inner, *(array for link in links for array in link)):
+        array.flags.writeable = False
+    return _Sector(n, m, inner, tuple(links), width)
+
+
 def _sector_band(c: DerivedCouplings, cutoff: int, parity: int) -> np.ndarray:
     """Lower band storage, band[d, j] = H[j + d, j], of the real-gauge H
     (photon phase a -> i a turns the +-i couplings real) on the states |n, m>
@@ -99,24 +141,15 @@ def _sector_band(c: DerivedCouplings, cutoff: int, parity: int) -> np.ndarray:
     Every coupling changes n by one, so coupled states sit in adjacent
     n-blocks of at most (cutoff + 2)//2 states: (cutoff + 1)//2 + 2 band rows.
     """
-    n, m = _sector_states(cutoff, parity)
-    index = np.zeros((cutoff + 1, cutoff + 1), dtype=int)
-    index[n, m] = np.arange(n.size)
-
-    rows, cols, values = [], [], []
-    # pair term g(1 - p) sqrt((n+1)(m+1)) to |n+1, m+1>,
-    # swap term g(1 + p) sqrt((n+1)m) to |n+1, m-1>; g = sqrt(N) g~, p = xi~ lambda
+    sector = _sector(cutoff, parity)
+    band = np.zeros((sector.width, sector.n.size))
+    band[0] = c.omega_k_bar * (sector.n + 0.5) + c.omega_m_tilde * (sector.m + 0.5)
+    # pair term g(1 - p) sqrt((n+1)(m+1)), swap term g(1 + p) sqrt((n+1)m);
+    # g = sqrt(N) g~, p = xi~ lambda
     g_root = np.sqrt(c.n_emitters) * c.g_tilde
     p = c.xi_tilde * c.handedness
-    for step, weight in ((1, g_root * (1 - p)), (-1, g_root * (1 + p))):
-        link = (n < cutoff) & (0 <= m + step) & (m + step <= cutoff)
-        rows.append(index[n[link] + 1, m[link] + step])
-        cols.append(link.nonzero()[0])
-        values.append(weight * np.sqrt((n[link] + 1.0) * np.maximum(m, m + step)[link]))
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    band = np.zeros((np.max(rows - cols) + 1, n.size))
-    band[0] = c.omega_k_bar * (n + 0.5) + c.omega_m_tilde * (m + 0.5)
-    band[rows - cols, cols] = np.concatenate(values)
+    for (rows, cols, roots), weight in zip(sector.links, (g_root * (1 - p), g_root * (1 + p))):
+        band[rows, cols] = weight * roots
     return band
 
 
@@ -133,32 +166,38 @@ def _residual_bound(c: DerivedCouplings, cutoff: int, parity: int, band, levels)
     Hamiltonian (Kahan's theorem; Parlett, The Symmetric Eigenvalue Problem).
 
     Two steps of inverse iteration, shifted just below each level, give one
-    vector per level. Rayleigh-Ritz on the orthonormalized block Q, with
-    A = Q^T H Q, puts the eigenvalues of A within ||H Q - Q A||_2 of as many
-    distinct eigenvalues of H, so a multiple level counts with its
-    multiplicity. Q sits on the states of the next box, C + 1, zero outside
-    box C. Every coupling moves n and m by one, so the next box's H gives
-    H Q in full: its rows inside box C are H_C Q, the rest the leak of Q out
-    of the box. The bound adds how far each level is from its eigenvalue of A.
+    vector per level; both solve with one banded LU of the shifted band
+    (LAPACK dgbtrf, then dgbtrs), and a singular one is a LinAlgError.
+    Rayleigh-Ritz on the orthonormalized block Q, with A = Q^T H Q, puts the
+    eigenvalues of A within ||H Q - Q A||_2 of as many distinct eigenvalues
+    of H, so a multiple level counts with its multiplicity. Q sits on the
+    states of the next box, C + 1, zero outside box C. Every coupling moves
+    n and m by one, so the next box's H gives H Q in full: its rows inside
+    box C are H_C Q, the rest the leak of Q out of the box. The bound adds
+    how far each level is from its eigenvalue of A.
     """
     lower = band.shape[0] - 1
     size = band.shape[1]
-    full = np.zeros((2 * lower + 1, size))  # solve_banded's general storage
-    full[lower:] = band
+    # dgbtrf's general band storage: `lower` rows for the fill-in of its row
+    # interchanges, the band mirrored above the diagonal, then the band
+    general = np.zeros((3 * lower + 1, size))
+    general[2 * lower :] = band
     for d in range(1, lower + 1):
-        full[lower - d, d:] = band[d, :-d]
+        general[2 * lower - d, d:] = band[d, :-d]
     # a fixed start with no special symmetry, one column per level
     vectors = np.cos(np.outer(np.arange(1, size + 1), np.arange(1, levels.size + 1)) * 2.4)
+    lapack = scipy.linalg.lapack
     for j, level in enumerate(levels):
         # just below the level, so that a decoupled (diagonal) band is not singular
-        full[lower] = band[0] - (level - 1e-12 * abs(level))
+        general[2 * lower] = band[0] - (level - 1e-12 * abs(level))
+        lu, pivots, info = lapack.dgbtrf(general, lower, lower)  # one LU, two solves
+        if info != 0:
+            raise np.linalg.LinAlgError(f"singular shifted band (dgbtrf info {info})")
         for _ in range(2):
-            vectors[:, j] = scipy.linalg.solve_banded(
-                (lower, lower), full, vectors[:, j], check_finite=False
-            )
-    n, m = _sector_states(cutoff + 1, parity)
-    q = np.zeros((n.size, levels.size))  # on the next box's states, zero outside this box
-    q[(n <= cutoff) & (m <= cutoff)] = np.linalg.qr(vectors)[0]
+            vectors[:, j] = lapack.dgbtrs(lu, lower, lower, vectors[:, j], pivots)[0]
+    sector = _sector(cutoff + 1, parity)
+    q = np.zeros((sector.n.size, levels.size))  # on the next box's states, zero outside this box
+    q[sector.inner] = np.linalg.qr(vectors)[0]
     next_band = _sector_band(c, cutoff + 1, parity)
     hq = next_band[0, :, None] * q
     for d in range(1, next_band.shape[0]):
@@ -191,7 +230,9 @@ def _certified_levels(c: DerivedCouplings, ceiling: int, count: int, tol: float)
     uncertified, when no step does.
 
     Each step solves for `count` levels, and again for FULL_COUNT when the
-    fit read all of them.
+    fit read all of them. A step bounds the even sector first and the odd
+    one only when the even one passed, which accepts the same box as the
+    larger of the two bounds would.
     """
     for cutoff in _cutoff_steps(ceiling):
         bands = [_sector_band(c, cutoff, parity) for parity in (0, 1)]
@@ -202,60 +243,92 @@ def _certified_levels(c: DerivedCouplings, ceiling: int, count: int, tol: float)
             if fit.levels_read < levels.size or solved == FULL_COUNT:
                 break
         highest = levels[fit.levels_read - 1]
-        bound = max(
-            _residual_bound(c, cutoff, parity, band, found[found <= highest])
+        threshold = 0.5 * tol * (levels[1] - levels[0])
+        # the even sector, which holds E0, first; a step ends at its first
+        # sector above the threshold
+        if all(
+            _residual_bound(c, cutoff, parity, band, found[found <= highest]) <= threshold
             for parity, (band, found) in enumerate(zip(bands, sectors))
-        )
-        if bound <= 0.5 * tol * (levels[1] - levels[0]):
+        ):
             return cutoff, True, levels
     return cutoff, False, levels
 
 
 def _forked_map(func, tasks: list, workers: int) -> list:
-    """[func(*task) for task in tasks], with the tasks dealt out in turn to
-    `workers` forked children (child k runs tasks k, k + workers, ...), which
-    spreads uneven tasks more evenly than contiguous chunks (measured).
+    """[func(*task) for task in tasks], run by `workers` forked children,
+    each of which takes the next task index from one shared pipe whenever it
+    is free, so that a long task holds up one child, not the tasks after it.
 
-    A child sends one pickled (ok, results or exception) record up its pipe
-    and leaves by os._exit, so it neither flushes the stdio buffers it
-    inherited nor runs exit handlers. The parent reads the pipes in child
-    order and raises a child's exception as it is; a child that left no
-    readable record (killed, crashed, or its record would not pickle) is a
-    ChildProcessError. Every child is reaped before the call returns, and on an
-    error any child still running is killed first.
+    The parent writes the indices as RECORD-byte records once every child
+    has forked, in atomic writes of at most PIPE_BUF bytes, so each read of
+    a record gets a whole one; it then closes its ends, and a child that
+    reads end-of-file is done. A list longer than the pipe holds (64 KiB)
+    makes the parent's write wait for the children. A child stops at its
+    first error, sends one pickled record, its (index, result) pairs and the
+    (index, exception) that stopped it or None, up a pipe of its own, and
+    leaves by os._exit, so it neither flushes the stdio buffers it inherited
+    nor runs exit handlers. Once every child has stopped, the parent's write
+    fails and the records say why. The parent reads them in child order: a
+    child that left no readable record (killed, crashed, or its record would
+    not pickle) is a ChildProcessError. Otherwise the exception of the lowest
+    failing index is raised as it is; the indices are dealt in order, so
+    that task always runs, whichever child takes it. Every child is reaped
+    before the call returns, and on an error any child still running is
+    killed first.
     """
     pids, pipes = [], []
     done = False
+    read_end, write_end = os.pipe()
+    indices, dealer = open(read_end, "rb", buffering=0), open(write_end, "wb", buffering=0)
     try:
-        for start in range(workers):
+        for _ in range(workers):
             read_end, write_end = os.pipe()
             pipes.append(open(read_end, "rb"))
             with open(write_end, "wb") as writer:  # the parent's copy closes here
                 pid = os.fork()
                 if pid == 0:
                     try:
-                        try:
-                            record = (True, [func(*task) for task in tasks[start::workers]])
-                        except BaseException as error:
-                            record = (False, error)
-                        writer.write(pickle.dumps(record))
+                        dealer.close()
+                        pairs, failure = [], None
+                        while record := indices.read(RECORD):
+                            index = int.from_bytes(record, "little")
+                            try:
+                                pairs.append((index, func(*tasks[index])))
+                            except BaseException as error:
+                                failure = (index, error)
+                                break
+                        # a parent waiting on a full pipe gets EPIPE once
+                        # every child has stopped reading
+                        indices.close()
+                        writer.write(pickle.dumps((pairs, failure)))
                         writer.flush()
                     finally:
                         os._exit(0)
             pids.append(pid)
-        results = [None] * len(tasks)
-        for start, (pid, pipe) in enumerate(zip(pids, pipes)):
+        indices.close()
+        dealt = np.arange(len(tasks), dtype="<u4").tobytes()
+        try:
+            for start in range(0, len(dealt), PIPE_BUF):
+                dealer.write(dealt[start : start + PIPE_BUF])
+        except BrokenPipeError:
+            pass  # every child has stopped; their records say why
+        dealer.close()
+        results, failures = [None] * len(tasks), []
+        for pid, pipe in zip(pids, pipes):
             try:
-                ok, value = pickle.load(pipe)
+                pairs, failure = pickle.load(pipe)
             except (EOFError, pickle.UnpicklingError) as error:
                 raise ChildProcessError(f"oracle worker {pid} left no readable result") from error
-            if not ok:
-                raise value
-            results[start::workers] = value
+            for index, result in pairs:
+                results[index] = result
+            if failure is not None:
+                failures.append(failure)
+        if failures:
+            raise min(failures, key=lambda pair: pair[0])[1]
         done = True
         return results
     finally:
-        for pipe in pipes:
+        for pipe in (indices, dealer, *pipes):
             pipe.close()
         for pid in pids:
             if not done:

@@ -64,6 +64,17 @@ def stable_random_couplings(rng):
             return c
 
 
+def gauged_sector(c: DerivedCouplings, cutoff: int, parity: int) -> np.ndarray:
+    """The parity sector, ordered by n, then m, of the complex Hamiltonian on
+    the full basis after the photon phase a -> i a."""
+    dim = cutoff + 1
+    n_photon, n_matter = np.divmod(np.arange(dim * dim), dim)
+    gauge = np.diag(1j**n_photon)
+    gauged = gauge.conj().T @ build_fock_hamiltonian(c, FockConfig(cutoff)) @ gauge
+    states = np.where((n_photon + n_matter) % 2 == parity)[0]  # row-major: by n, then m
+    return gauged[np.ix_(states, states)]
+
+
 def unpacked(band: np.ndarray) -> np.ndarray:
     """The dense symmetric matrix whose lower band storage is `band`."""
     size = band.shape[1]
@@ -126,16 +137,27 @@ class TestHamiltonianBuild:
     @pytest.mark.parametrize("cutoff", [6, 7])
     def test_sector_bands_are_the_gauged_complex_hamiltonian(self, cutoff, xi):
         c = couplings(w_photon=1.2, w_matter=0.8, g=0.11, xi=xi)
-        dim = cutoff + 1
-        n_photon, n_matter = np.divmod(np.arange(dim * dim), dim)
-        gauge = np.diag(1j**n_photon)  # photon phase a -> i a
-        gauged = gauge.conj().T @ build_fock_hamiltonian(c, FockConfig(cutoff)) @ gauge
-        assert np.max(np.abs(gauged.imag)) < 1e-15
-        total = n_photon + n_matter
         for parity in (0, 1):
-            states = np.where(total % 2 == parity)[0]  # row-major: by n, then m
-            dense = unpacked(_sector_band(c, cutoff, parity))
-            assert_allclose(dense, gauged.real[np.ix_(states, states)], atol=1e-15)
+            sector = gauged_sector(c, cutoff, parity)
+            assert np.max(np.abs(sector.imag)) < 1e-15
+            assert_allclose(unpacked(_sector_band(c, cutoff, parity)), sector.real, atol=1e-15)
+
+    def test_bands_that_share_a_cached_sector_are_independent(self):
+        # the structure of each (cutoff, parity) is cached and read-only, and
+        # every band is a fresh array: writing into one changes neither
+        # another set's band nor a later build of the same one
+        sets = [
+            couplings(w_photon=1.2, w_matter=0.8, g=0.11, xi=-0.6),
+            couplings(w_photon=0.7, w_matter=1.3, g=0.05, xi=0.4),
+        ]
+        for parity in (0, 1):
+            first, second = (_sector_band(c, 7, parity) for c in sets)
+            first[:] = np.nan
+            for c, band in zip(sets, (_sector_band(sets[0], 7, parity), second)):
+                assert_allclose(unpacked(band), gauged_sector(c, 7, parity).real, atol=1e-15)
+            sector = fock_oracle._sector(7, parity)
+            cached = [sector.n, sector.m, sector.inner, *(a for link in sector.links for a in link)]
+            assert not any(array.flags.writeable for array in cached)
 
     @pytest.mark.parametrize("cutoff", [4, 5, 12, 40, 80])
     def test_sector_band_half_width_is_half_the_cutoff(self, cutoff):
@@ -331,6 +353,45 @@ class TestCertificate:
                     residual = next_box @ padded - padded * energies[read]
                     bound = max(bound, np.linalg.norm(residual, 2))
                 assert (bound <= 0.5 * tol * (levels[1] - levels[0])) == certified, cutoff
+
+    def test_a_step_bounds_the_odd_sector_only_when_the_even_one_passed(self, monkeypatch):
+        # the 20-set default suite at the ceiling 40, in process: each step
+        # bounds the even sector, which holds E0, first, and stops at the
+        # first sector above its threshold
+        tol = 1e-8
+        bound = fock_oracle._residual_bound
+        steps = {}
+
+        def recorded(c, cutoff, parity, band, levels):
+            value = bound(c, cutoff, parity, band, levels)
+            steps.setdefault((id(c), cutoff), (c, []))[1].append((parity, value))
+            return value
+
+        monkeypatch.setattr(fock_oracle, "_residual_bound", recorded)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        oracle_check(default_sets(20), FockConfig(40, tol), check_convergence=False)
+        calls = 0
+        for (_, cutoff), (c, bounded) in steps.items():
+            e0, e1 = low_levels(c, cutoff, 2)
+            threshold = 0.5 * tol * (e1 - e0)
+            parities = [parity for parity, _ in bounded]
+            assert parities == ([0, 1] if bounded[0][1] <= threshold else [0]), cutoff
+            calls += len(bounded)
+        assert calls < 2 * len(steps)
+
+    def test_a_singular_shifted_band_is_a_linalg_error(self, monkeypatch):
+        c = couplings(g=0.1, xi=0.3)
+        band = _sector_band(c, 8, 0)
+        levels = fock_oracle._lowest(band, 3)
+        factor = scipy.linalg.lapack.dgbtrf
+
+        def singular(*args, **kwargs):
+            lu, pivots, _ = factor(*args, **kwargs)
+            return lu, pivots, 1  # as when U[0, 0] is exactly zero
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dgbtrf", singular)
+        with pytest.raises(LinAlgError, match="singular"):
+            fock_oracle._residual_bound(c, 8, 0, band, levels)
 
     def test_certified_levels_lie_within_their_bound_of_the_cutoff_40_levels(self):
         tol = 1e-8
@@ -749,3 +810,67 @@ fock_oracle.oracle_check(sets)
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout == "written before the fork\n"
+
+
+class TestOnDemandDealing:
+    # _forked_map called directly: a free child takes the next task index
+    # from one shared pipe, and the results come back in task order
+
+    def test_a_long_task_holds_up_only_its_own_child(self):
+        def timed(index):
+            if index == 0:
+                time.sleep(1.0)
+            return index, os.getpid()
+
+        results = fock_oracle._forked_map(timed, [(index,) for index in range(40)], 2)
+        assert [index for index, _ in results] == list(range(40))
+        slow = results[0][1]
+        others = {pid for _, pid in results[1:]}
+        assert len(others) == 1 and slow not in others
+        assert_no_child_left()
+
+    def test_the_lowest_failing_index_reaches_the_caller(self):
+        # task 6 fails first in time, while task 3 sleeps
+        def failing(index):
+            if index == 3:
+                time.sleep(0.5)
+            if index in (3, 6):
+                raise ValueError(f"task {index} failed")
+            return index
+
+        with pytest.raises(ValueError, match="task 3 failed"):
+            fock_oracle._forked_map(failing, [(index,) for index in range(10)], 2)
+        assert_no_child_left()
+
+    def test_more_indices_than_a_pipe_holds(self):
+        # 20 000 indices are 80 000 bytes, more than a 64 KiB pipe holds: the
+        # parent's write waits for the children. When every child stops
+        # first, the write fails, and the error the children reported, or
+        # the death of the first, is what the caller sees. A fresh
+        # interpreter, so that a deadlock ends in the timeout.
+        result = run_forking(
+            """
+count = 20_000
+print(fock_oracle._forked_map(lambda index: -index, [(i,) for i in range(count)], 2)
+      == [-i for i in range(count)])
+
+def failing(index):
+    raise ValueError(f"task {index} failed")
+
+def killed(index):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+for func in (failing, killed):
+    try:
+        fock_oracle._forked_map(func, [(i,) for i in range(count)], 2)
+    except (ValueError, ChildProcessError) as error:
+        print(type(error).__name__, error)
+print(no_child_left())
+"""
+        )
+        assert result.returncode == 0, result.stderr
+        in_order, failed, killed, left = result.stdout.splitlines()
+        assert in_order == "True"
+        assert failed == "ValueError task 0 failed"
+        assert re.fullmatch(r"ChildProcessError oracle worker \d+ left no readable result", killed)
+        assert left == "True"
