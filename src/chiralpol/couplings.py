@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .emitters import Emitter, chiral_tdm_vector, require_one_xi, rotate
+from .emitters import Emitter, chiral_tdm_vector, require_one_xi
 from .fields import CavityMode, polarization_gradient, standing_wave_polarization
 
 
@@ -271,24 +271,6 @@ class MonteCarloEstimate(NamedTuple):
     stderr: float
 
 
-def _geodesic_rotvecs(mu_hat: np.ndarray, n_hat: np.ndarray) -> np.ndarray:
-    """Rotation vectors of the minimal rotations mapping mu_hat onto each row
-    of n_hat."""
-    axis = np.cross(mu_hat, n_hat)
-    sin = np.linalg.norm(axis, axis=1)
-    cos = n_hat @ mu_hat
-    angle = np.arctan2(sin, cos)
-    # antipodal draws: rotate by pi about any axis perpendicular to mu_hat
-    perp = np.cross(mu_hat, [1.0, 0.0, 0.0])
-    if np.linalg.norm(perp) < 1e-6:
-        perp = np.cross(mu_hat, [0.0, 1.0, 0.0])
-    perp /= np.linalg.norm(perp)
-    degen = sin < 1e-15
-    safe_sin = np.where(degen, 1.0, sin)
-    axis = np.where(degen[:, None], perp, axis / safe_sin[:, None])
-    return axis * angle[:, None]
-
-
 def sample_orientation_coupling(
     emitter: Emitter,
     mode: CavityMode,
@@ -298,39 +280,27 @@ def sample_orientation_coupling(
 ) -> MonteCarloEstimate:
     """Monte-Carlo estimate of the orientation-averaged squared coupling.
 
-    Samples molecular orientations from the Haar measure (cos(theta)
-    uniform on [-1, 1]; azimuth and roll delta uniform on [0, 2pi)) and
-    averages the squared projection of the rotated combined moment
-    (1 + lambda s U) mu onto the mode polarization. Deterministic for a
-    fixed seed; converges to orientation_averaged_coupling_sq. Takes one
-    emitter: a scalar xi_scale.
+    For a molecular rotation R, the combined moment c = (1 + lambda s U) mu
+    projects on the real polarization eps as (R c).eps = c.(R^T eps), and
+    R^T eps is a uniform direction when R is Haar-distributed. So it draws
+    directions n (cos(theta) uniform on [-1, 1], azimuth uniform on
+    [0, 2pi)) and averages (n.c)^2. Deterministic for a fixed seed;
+    converges to orientation_averaged_coupling_sq, and is exactly 0 for
+    mu = 0. Takes one emitter: a scalar xi_scale.
     """
     require_one_xi(emitter, "sample_orientation_coupling")
     if n_samples < 100:
         raise ValueError(f"n_samples must be at least 100, got {n_samples}")
-    eps = standing_wave_polarization(mode)
-    mu = emitter.mu
-    mu_norm = np.linalg.norm(mu)
-    if mu_norm == 0.0:
-        raise ValueError("orientation sampling undefined for mu = 0")
-    mu_hat = mu / mu_norm
-
     rng = np.random.default_rng(seed)
     cos_theta = rng.uniform(-1.0, 1.0, n_samples)
     phi = rng.uniform(0.0, 2.0 * np.pi, n_samples)
-    delta = rng.uniform(0.0, 2.0 * np.pi, n_samples)
-
     sin_theta = np.sqrt(1.0 - cos_theta**2)
     n_hat = np.column_stack(
         (sin_theta * np.cos(phi), sin_theta * np.sin(phi), cos_theta)
     )
-
-    # each orientation: the geodesic turn of mu_hat onto n_hat, then the roll
-    # by delta about n_hat
+    mu = emitter.mu
     combined = mu + mode.handedness * emitter.xi_scale * emitter.xi_rotation @ mu
-    turned = rotate(_geodesic_rotvecs(mu_hat, n_hat), combined)
-    projections = rotate(n_hat * delta[:, None], turned) @ eps
-    samples = projections**2
+    samples = (n_hat @ combined) ** 2
 
     scale = n_emitters * _coupling_sq_prefactor(emitter, mode, n_emitters)
     value = scale * float(np.mean(samples))

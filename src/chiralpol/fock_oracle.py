@@ -35,12 +35,12 @@ oracle_check takes one parameter set or a sequence of them. Each set's whole
 search is one task; the tasks are independent and hold the GIL, so a call
 with enough sets to repay the fork runs them in one forked child per CPU.
 A child takes the next task from a shared pipe whenever it is free and sends
-its results back over a pipe of its own (`_forked_map`). Ladder fits
-and reports stay in the calling process. With check_convergence a report's
-`converged` is its `certified`: no set is solved again at a larger box. A
-report is a plain record: the oracle CSV and its columns belong to
-`scans.run_oracle_suite`. low_levels solves one set at a fixed cutoff, in
-process; the oracle does not call it.
+its results back over a pipe of its own (`_forked_map`): the levels and
+the ladder fit they were certified with, from which the calling process
+builds the reports. The residual certificate is the only truncation check:
+no set is solved again at a larger box. A report is a plain record: the
+oracle CSV and its columns belong to `scans.run_oracle_suite`. low_levels
+solves one set at a fixed cutoff, in process; the oracle does not call it.
 
 LAPACK is loaded with `scipy.linalg`, which this module reaches as an
 attribute of `scipy`: SciPy imports the submodule at the first access, which
@@ -54,7 +54,7 @@ import os
 import pickle
 import signal
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy
@@ -93,18 +93,11 @@ class FockConfig:
             raise ValueError(f"fock_tol must be positive, got {self.fock_tol}")
 
 
-def _sector_states(cutoff: int, parity: int) -> tuple[np.ndarray, np.ndarray]:
-    """n and m of the states |n, m> with n, m <= cutoff and n + m = parity
-    (mod 2), ordered by n, then m."""
-    n, m = np.divmod(np.arange((cutoff + 1) ** 2), cutoff + 1)
-    sector = (n + m) % 2 == parity
-    return n[sector], m[sector]
-
-
 class _Sector(NamedTuple):
     """What a sector's band needs besides the couplings, all read-only.
 
-    n, m: the occupations of its states; inner: the states inside box
+    n, m: the occupations of its states |n, m> with n, m <= cutoff and
+    n + m = parity (mod 2), ordered by n, then m; inner: the states inside box
     cutoff - 1; links: (band rows, columns, square-root factors) of the pair
     and of the swap term; width: band rows."""
 
@@ -117,7 +110,9 @@ class _Sector(NamedTuple):
 
 @functools.lru_cache(maxsize=2 * (MAX_CUTOFF + 2))  # both parities, boxes 0 to MAX_CUTOFF + 1
 def _sector(cutoff: int, parity: int) -> _Sector:
-    n, m = _sector_states(cutoff, parity)
+    n, m = np.divmod(np.arange((cutoff + 1) ** 2), cutoff + 1)
+    in_sector = (n + m) % 2 == parity
+    n, m = n[in_sector], m[in_sector]
     index = np.zeros((cutoff + 1, cutoff + 1), dtype=int)
     index[n, m] = np.arange(n.size)
     links = []
@@ -224,15 +219,17 @@ def _cutoff_steps(ceiling: int) -> list[int]:
 
 
 def _certified_levels(c: DerivedCouplings, ceiling: int, count: int, tol: float):
-    """(cutoff, certified, levels) of one set: its lowest levels at the first
-    cutoff step whose residual bounds put every level its ladder fit reads
-    within tol (E1 - E0) / 2 of the untruncated one, or at the ceiling,
-    uncertified, when no step does.
+    """(cutoff, certified, levels, fit) of one set: its lowest levels at the
+    first cutoff step whose residual bounds put every level its ladder fit
+    reads within tol (E1 - E0) / 2 of the untruncated one, or at the
+    ceiling, uncertified, when no step does; and the ladder fit of those
+    levels.
 
     Each step solves for `count` levels, and again for FULL_COUNT when the
-    fit read all of them. A step bounds the even sector first and the odd
-    one only when the even one passed, which accepts the same box as the
-    larger of the two bounds would.
+    fit read all of them; the levels and fit returned are the last solve's.
+    A step bounds the even sector first and the odd one only when the even
+    one passed, which accepts the same box as the larger of the two bounds
+    would.
     """
     for cutoff in _cutoff_steps(ceiling):
         bands = [_sector_band(c, cutoff, parity) for parity in (0, 1)]
@@ -250,8 +247,8 @@ def _certified_levels(c: DerivedCouplings, ceiling: int, count: int, tol: float)
             _residual_bound(c, cutoff, parity, band, found[found <= highest]) <= threshold
             for parity, (band, found) in enumerate(zip(bands, sectors))
         ):
-            return cutoff, True, levels
-    return cutoff, False, levels
+            return cutoff, True, levels, fit
+    return cutoff, False, levels, fit
 
 
 def _forked_map(func, tasks: list, workers: int) -> list:
@@ -472,9 +469,8 @@ def _sized_count(analytic_plus: float, analytic_minus: float, tol: float) -> int
 class OracleReport:
     """Comparison of the Fock-oracle gaps against the analytic frequencies.
     `cutoff` is the box the levels come from; `certified` says whether its
-    residual bounds hold every level the fit read within fock_tol (E1 - E0)/2.
-    `converged` is None without the convergence check, and `certified` with
-    it."""
+    residual bounds hold every level the fit read within fock_tol (E1 - E0)/2,
+    the oracle's one truncation check."""
 
     omega_plus: float
     omega_minus: float
@@ -489,38 +485,32 @@ class OracleReport:
     ambiguous: bool
     cutoff: int
     certified: bool
-    converged: Optional[bool] = None
 
 
 def oracle_check(
-    c: DerivedCouplings | Sequence[DerivedCouplings],
-    config: FockConfig = FockConfig(),
-    check_convergence: bool = True,
+    c: DerivedCouplings | Sequence[DerivedCouplings], config: FockConfig = FockConfig()
 ) -> OracleReport | list[OracleReport]:
     """Diagonalize, read off the gaps, and compare against the analytic values:
     one report for one set, a list in set order for a sequence of sets.
 
     Each set is solved at the smallest cutoff step whose residual bounds
     certify the levels its fit reads (`_certified_levels`), with fock_cutoff
-    as the ceiling; the searches of all sets are one `_mapped` call, and the
-    fits are made again here from the levels they return. Each solve is sized
+    as the ceiling; the searches of all sets are one `_mapped` call, and each
+    report reads its gaps off the fit its search returns. Each solve is sized
     from the set's analytic ladder (`_sized_count`) and verified by its fit:
     a set whose fit read every level solved is solved again at FULL_COUNT
     levels, so a report never rests on a window cut short. E0 is compared
     against the vacuum energy (Omega+ + Omega-)/2, whose enantiomer
-    difference is the discriminating Delta E_vac. With check_convergence
-    `converged` is filled in as `certified`: the residual bounds are the
-    truncation check, and no set is solved again at a larger cutoff.
+    difference is the discriminating Delta E_vac.
     """
     sets = [c] if isinstance(c, DerivedCouplings) else list(c)
     analytic = [hopfield.polariton_frequencies(s) for s in sets]
     counts = [_sized_count(plus, minus, config.fock_tol) for plus, minus in analytic]
     tasks = [(s, config.fock_cutoff, k, config.fock_tol) for s, k in zip(sets, counts)]
     reports = []
-    for (analytic_plus, analytic_minus), (cutoff, certified, levels) in zip(
+    for (analytic_plus, analytic_minus), (cutoff, certified, levels, fit) in zip(
         analytic, _mapped(_certified_levels, tasks)
     ):
-        fit = fit_ladder(levels, config.fock_tol)
         e_vac = 0.5 * (analytic_plus + analytic_minus)
         reports.append(
             OracleReport(
@@ -537,7 +527,6 @@ def oracle_check(
                 ambiguous=fit.ambiguous,
                 cutoff=cutoff,
                 certified=certified,
-                converged=certified if check_convergence else None,
             )
         )
     return reports[0] if isinstance(c, DerivedCouplings) else reports

