@@ -6,7 +6,9 @@ file and --set pairs, see `config`). A scan runner parses every key once,
 metadata echoes that dict, so the CSV header reproduces the run; the oracle
 echoes its string table as given. Instabilities become rows flagged
 unstable=1 with zeroed value columns rather than aborting the scan; any
-other failure raises, and `cli.main` alone maps it to an exit code.
+other failure raises, and `cli.main` alone maps it to an exit code. Each
+runner declares its columns once, in CSV order, as one dict from column
+name to values.
 
 Default system values: the fundamental coupling eta = 0.001 and the
 chirality estimate xi = 3.712e-5 for the ensemble-size scan are the
@@ -221,11 +223,20 @@ def _n_emitters(table: dict) -> int:
     return n_emitters
 
 
-def _echo(command: str, defaults: dict, values: dict) -> tuple:
-    """CSV metadata: the command, then each config key in defaults order with
-    its parsed value, so the header reproduces the run."""
-    return (("command", command),) + tuple(
-        (key, render_value(values[key])) for key in defaults
+def _table(
+    command: str, defaults: dict, values: dict, columns: dict, failure: str = ""
+) -> ScanTable:
+    """The run's CSV table. `columns` maps each column name to its values, in
+    CSV order; they broadcast to one shape, and each cell of it is a row. The
+    metadata is the command, then each config key in defaults order with its
+    parsed value, so the header reproduces the run."""
+    cells = np.broadcast_arrays(*columns.values())
+    return ScanTable(
+        column_names=tuple(columns),
+        rows=np.stack(cells, axis=-1).reshape(-1, len(cells)),
+        metadata=(("command", command),)
+        + tuple((key, render_value(values[key])) for key in defaults),
+        failure=failure,
     )
 
 
@@ -284,40 +295,24 @@ def scan_cavity(table: dict) -> ScanTable:
 
     c, sol = _stage(values, solve)
     unstable = np.isnan(sol.omega_plus)
-    results = (
-        c.omega_k_bar,
-        c.omega_m_tilde,
-        sol.omega_plus,
-        sol.omega_minus,
-        sol.photon_fraction_plus,
-        sol.matter_fraction_plus,
-        sol.photon_fraction_minus,
-        sol.matter_fraction_minus,
-        sol.e_vac,
-    )
-    columns = np.broadcast_arrays(
-        omegas[:, None], xis, *(np.where(unstable, 0.0, v) for v in results), unstable
-    )
-    rows = np.stack([column.ravel() for column in columns], axis=-1)
-
-    return ScanTable(
-        column_names=(
-            "omega_k",
-            "xi",
-            "omega_k_bar",
-            "omega_m_tilde",
-            "omega_plus",
-            "omega_minus",
-            "photon_frac_plus",
-            "matter_frac_plus",
-            "photon_frac_minus",
-            "matter_frac_minus",
-            "e_vac",
-            "unstable",
-        ),
-        rows=rows,
-        metadata=_echo("scan-cavity", CAVITY_DEFAULTS, values),
-    )
+    results = {
+        "omega_k_bar": c.omega_k_bar,
+        "omega_m_tilde": c.omega_m_tilde,
+        "omega_plus": sol.omega_plus,
+        "omega_minus": sol.omega_minus,
+        "photon_frac_plus": sol.photon_fraction_plus,
+        "matter_frac_plus": sol.matter_fraction_plus,
+        "photon_frac_minus": sol.photon_fraction_minus,
+        "matter_frac_minus": sol.matter_fraction_minus,
+        "e_vac": sol.e_vac,
+    }
+    columns = {
+        "omega_k": omegas[:, None],
+        "xi": xis,
+        **{name: np.where(unstable, 0.0, v) for name, v in results.items()},
+        "unstable": unstable,
+    }
+    return _table("scan-cavity", CAVITY_DEFAULTS, values, columns)
 
 
 def _loglog_slopes(n_values, deltas, usable) -> np.ndarray:
@@ -352,22 +347,16 @@ def scan_n(table: dict) -> ScanTable:
         values, lambda v: discrimination(_emitter(v, xi), _mode(v, omega_k), n_values, selfpol)
     )
     unstable = np.isnan(deltas.delta_e_vac)
-    d_up, d_low, d_evac = (np.where(unstable, 0.0, d) for d in deltas)
-    slopes = _loglog_slopes(n_values, d_evac, ~unstable & (d_evac != 0.0))
-    rows = np.stack([n_values, d_up, d_low, d_evac, slopes, unstable], axis=-1)
-
-    return ScanTable(
-        column_names=(
-            "n",
-            "delta_omega_plus",
-            "delta_omega_minus",
-            "delta_e_vac",
-            "slope_delta_e_vac",
-            "unstable",
-        ),
-        rows=rows,
-        metadata=_echo("scan-n", N_SCAN_DEFAULTS, values),
-    )
+    d_evac = np.where(unstable, 0.0, deltas.delta_e_vac)
+    columns = {
+        "n": n_values,
+        "delta_omega_plus": np.where(unstable, 0.0, deltas.delta_omega_plus),
+        "delta_omega_minus": np.where(unstable, 0.0, deltas.delta_omega_minus),
+        "delta_e_vac": d_evac,
+        "slope_delta_e_vac": _loglog_slopes(n_values, d_evac, ~unstable & (d_evac != 0.0)),
+        "unstable": unstable,
+    }
+    return _table("scan-n", N_SCAN_DEFAULTS, values, columns)
 
 
 def scan_dispersion(table: dict) -> ScanTable:
@@ -386,12 +375,8 @@ def scan_dispersion(table: dict) -> ScanTable:
     base = _mode(values, SPEED_OF_LIGHT_AU * k_z)
     # a k_par/k_z above ~1e16 rounds the incidence angle to pi/2
     core = _stage(values, lambda v: tc_dispersion_scan(_emitter(v, xi), base, k_pars, n_emitters))
-
-    return ScanTable(
-        column_names=core.column_names,
-        rows=core.rows,
-        metadata=_echo("scan-dispersion", DISPERSION_DEFAULTS, values),
-    )
+    columns = dict(zip(core.column_names, core.rows.T))
+    return _table("scan-dispersion", DISPERSION_DEFAULTS, values, columns)
 
 
 def sample_stable_couplings(
@@ -455,62 +440,31 @@ def run_oracle_suite(table: dict) -> ScanTable:
     max_ratio = _max_gap_ratio(cutoff)
     sets = [sample_stable_couplings(rng, max_ratio) for _ in range(n_sets)]
     reports = oracle_check(sets, fock_config)
-    worst = max(
-        0.0, *(d for r in reports for d in (r.deviation_plus, r.deviation_minus, r.e0_deviation))
-    )
-    rows = [
-        (
-            index,
-            c.omega_k_bar,
-            c.omega_m_tilde,
-            c.g_tilde,
-            c.xi_tilde * c.handedness,
-            report.omega_plus,
-            report.omega_minus,
-            report.e0,
-            report.analytic_plus,
-            report.analytic_minus,
-            report.deviation_plus,
-            report.deviation_minus,
-            report.e0_deviation,
-            report.ladder_residual,
-            report.degenerate,
-            report.ambiguous,
-            report.certified if check_convergence else None,  # converged; None is NaN
-            report.cutoff,
-            report.certified,
-        )
-        for index, (c, report) in enumerate(zip(sets, reports))
-    ]
-
-    return ScanTable(
-        column_names=(
-            "set_index",
-            "omega_k_bar",
-            "omega_m_tilde",
-            "coupling",
-            "xi_lambda",
-            "oracle_plus",
-            "oracle_minus",
-            "e0",
-            "analytic_plus",
-            "analytic_minus",
-            "dev_plus",
-            "dev_minus",
-            "e0_dev",
-            "ladder_residual",
-            "degenerate",
-            "ambiguous",
-            "converged",
-            "cutoff",
-            "certified",
-        ),
-        rows=rows,
-        metadata=_echo("oracle", ORACLE_DEFAULTS, table),
-        failure=(
-            f"oracle deviation {worst:.3e} exceeds tol {tol:.3e}" if worst > tol else ""
-        ),
-    )
+    columns = {
+        "set_index": range(n_sets),
+        "omega_k_bar": [c.omega_k_bar for c in sets],
+        "omega_m_tilde": [c.omega_m_tilde for c in sets],
+        "coupling": [c.g_tilde for c in sets],
+        "xi_lambda": [c.xi_tilde * c.handedness for c in sets],
+        "oracle_plus": [r.omega_plus for r in reports],
+        "oracle_minus": [r.omega_minus for r in reports],
+        "e0": [r.e0 for r in reports],
+        "analytic_plus": [r.analytic_plus for r in reports],
+        "analytic_minus": [r.analytic_minus for r in reports],
+        "dev_plus": [r.deviation_plus for r in reports],
+        "dev_minus": [r.deviation_minus for r in reports],
+        "e0_dev": [r.e0_deviation for r in reports],
+        "ladder_residual": [r.ladder_residual for r in reports],
+        "degenerate": [r.degenerate for r in reports],
+        "ambiguous": [r.ambiguous for r in reports],
+        # None is NaN: the check did not run
+        "converged": [r.certified if check_convergence else None for r in reports],
+        "cutoff": [r.cutoff for r in reports],
+        "certified": [r.certified for r in reports],
+    }
+    worst = max(0.0, *columns["dev_plus"], *columns["dev_minus"], *columns["e0_dev"])
+    failure = f"oracle deviation {worst:.3e} exceeds tol {tol:.3e}" if worst > tol else ""
+    return _table("oracle", ORACLE_DEFAULTS, table, columns, failure)
 
 
 SCAN_COMMANDS: dict[str, tuple[dict, Callable]] = {

@@ -4,12 +4,15 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose, assert_array_equal
 
 from chiralpol import cli, fock_oracle
 from chiralpol.cli import main
@@ -17,6 +20,7 @@ from chiralpol.config import read_csv_metadata
 from chiralpol.couplings import DerivedCouplings
 from chiralpol.emitters import Emitter
 from chiralpol.fields import SPEED_OF_LIGHT_AU, CavityMode
+from chiralpol.fock_oracle import FockConfig, oracle_check
 from chiralpol.hopfield import discrimination, polariton_frequencies
 from chiralpol.scans import (
     CAVITY_DEFAULTS,
@@ -459,6 +463,100 @@ class TestDeterminism:
         assert out.read_text() == stdout_text
 
 
+# --set values per key for the CLI property: one-point grids, extreme values
+# and malformed strings; the emitter keys are shared by the three scans
+SYSTEM_MENU = {
+    "handedness": ["-1", "0", "1.5"],
+    "eta": ["1e-300", "1e10", "1e300", "0", "-1", "nan", "eta"],
+    "omega_m": ["1e-300", "1e-135", "1e20", "1e300", "0", "-0.1", ""],
+    "mu": ["0,0,0", "1e200,0,0", "-1e-300,0,0", "1,2", "a,b,c"],
+    "quadrupole": ["0,1e200,0,-1e200,0,0,0,0,0", "1,0,0"],
+    "chi_m": ["1e200,0,0,0,0,0,0,0,0", "1,1,1,1,1,1,1,1,1"],
+    "xi_rotation": ["0,1,0,1,0,0,0,0,1", "2,0,0,0,1,0,0,0,1", "1e308,0,0,0,0,0,0,0,0"],
+    "roll_delta": ["1e300", "-3", "inf"],
+    "z": ["1e300", "-1e-300"],
+    "k_z": ["auto", "0", "-1", "1e300"],
+}
+N_EMITTERS_MENU = ["1", "0", "2.5", "18446744073709551615", "18446744073709551616"]
+XI_MENU = ["0", "-1", "1e300", "-1e300", "nan"]
+CLI_MENUS = {
+    "scan-cavity": {
+        **SYSTEM_MENU,
+        "n_emitters": N_EMITTERS_MENU,
+        "omega_k_min": ["auto", "1e-300", "1e300", "-1"],
+        "omega_k_max": ["auto", "1e-300", "1e300", "0"],
+        "omega_k_points": ["1", "2", "0", "-1", "100000000000000000000000", "x"],
+        "xi_min": ["-1e308", "1e308", "0", "nan"],
+        "xi_max": ["-1e308", "1e308", "0", "-1"],
+        "xi_points": ["1", "2", "0", "3.0"],
+    },
+    "scan-n": {
+        **SYSTEM_MENU,
+        "xi": XI_MENU,
+        "omega_k": ["auto", "1e-300", "1e300", "0"],
+        "n_max_exp": ["0", "60", "61", "-1", "x"],
+        "selfpol": ["local", "collective", "neither"],
+    },
+    "scan-dispersion": {
+        **SYSTEM_MENU,
+        "xi": XI_MENU,
+        "n_emitters": N_EMITTERS_MENU,
+        "k_par_min": ["0", "1e300", "-1"],
+        "k_par_max": ["auto", "1e300", "0"],
+        "k_par_points": ["1", "2", "0", "9223372036854775807"],
+    },
+}
+
+
+@st.composite
+def cli_calls(draw):
+    """A scan command, up to four --set overrides drawn from its menu, and
+    --strict on or off."""
+    command = draw(st.sampled_from(sorted(CLI_MENUS)))
+    menu = CLI_MENUS[command]
+    keys = draw(st.lists(st.sampled_from(sorted(menu)), max_size=4, unique=True))
+    argv = [command]
+    for key in keys:
+        argv += ["--set", f"{key}={draw(st.sampled_from(menu[key]))}"]
+    return argv + (["--strict"] if draw(st.booleans()) else [])
+
+
+def run_quietly(argv):
+    """run_cli, asserting that the call issues no warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run_cli(argv)
+    assert [str(w.message) for w in caught] == [], argv
+    return result
+
+
+class TestCliProperty:
+    @seed(2209)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(argv=cli_calls())
+    def test_random_overrides_exit_cleanly_and_their_header_reruns(self, argv):
+        with tempfile.TemporaryDirectory() as folder:
+            out, again, config = (Path(folder) / name for name in ("a.csv", "b.csv", "a.cfg"))
+            code, stdout, err = run_quietly([*argv, "--out", str(out)])
+            assert stdout == "" and "Traceback" not in err and "Warning" not in err
+            expected_err = {
+                0: "",
+                3: "unstable rows present (strict mode)\n",
+            }
+            if code == 1:
+                assert err.startswith("config error:") and err.count("\n") == 1, err
+                assert out.read_text() == ""
+                return
+            assert code in expected_err and err == expected_err[code], (code, err)
+            meta = read_csv_metadata(out)
+            assert meta.pop("command") == argv[0]
+            config.write_text("".join(f"{key} = {value}\n" for key, value in meta.items()))
+            strict = ["--strict"] if argv[-1] == "--strict" else []
+            rerun = [argv[0], "--config", str(config), "--out", str(again), *strict]
+            assert run_quietly(rerun) == (code, "", err)
+            assert again.read_bytes() == out.read_bytes()
+
+
 SYSTEM_HEADER = """\
 # handedness = 1
 # eta = 0.001
@@ -687,6 +785,48 @@ class TestOracleSuiteSampling:
             assert converged == certified  # the residual bound is the check
         else:
             assert all(np.isnan(value) for value in converged)
+
+    def test_every_column_matches_its_own_set(self, tmp_path):
+        # each row's parameter columns (17 digits round-trip) rebuild its set;
+        # every other column is what the solvers give for that set alone
+        out = tmp_path / "oracle.csv"
+        argv = ["oracle", "--set", "oracle_sets=4", "--set", "fock_cutoff=12"]
+        code, _, _ = run_cli([*argv, "--out", str(out)])
+        assert code == 0
+        header, *lines = [line for line in out.read_text().splitlines() if line[0] != "#"]
+        rows = [dict(zip(header.split(","), map(float, line.split(",")))) for line in lines]
+        assert [row["set_index"] for row in rows] == [0.0, 1.0, 2.0, 3.0]
+        for row in rows:
+            coupling, xi_lambda = row["coupling"], row["xi_lambda"]
+            c = DerivedCouplings(
+                omega_k_bar=row["omega_k_bar"],
+                omega_m_tilde=row["omega_m_tilde"],
+                g_tilde=coupling,
+                xi_tilde=xi_lambda,
+                g_bar=coupling,
+                xi_bar=xi_lambda,
+                n_emitters=1,
+                handedness=1,
+            )
+            upper, lower = polariton_frequencies(c)
+            report = oracle_check(c, FockConfig(fock_cutoff=12, fock_tol=1e-8))
+            expected = {
+                "oracle_plus": report.omega_plus,
+                "oracle_minus": report.omega_minus,
+                "e0": report.e0,
+                "analytic_plus": upper,
+                "analytic_minus": lower,
+                "dev_plus": report.deviation_plus,
+                "dev_minus": report.deviation_minus,
+                "e0_dev": report.e0_deviation,
+                "ladder_residual": report.ladder_residual,
+                "degenerate": report.degenerate,
+                "ambiguous": report.ambiguous,
+                "cutoff": report.cutoff,
+                "certified": report.certified,
+            }
+            assert_array_equal([row[name] for name in expected], list(expected.values()))
+            assert upper > lower  # the two branches are told apart
 
     def test_samples_respect_criterion_ranges(self):
         table = run_oracle_suite(
