@@ -15,7 +15,6 @@ from .emitters import Emitter, chiral_tdm_vector
 from .fields import (
     SPEED_OF_LIGHT_AU,
     CavityMode,
-    oblique_mode,
     polarization_gradient,
     standing_wave_polarization,
 )

@@ -280,13 +280,14 @@ def sample_orientation_coupling(
 ) -> MonteCarloEstimate:
     """Monte-Carlo estimate of the orientation-averaged squared coupling.
 
-    For a molecular rotation R, the combined moment c = (1 + lambda s U) mu
-    projects on the real polarization eps as (R c).eps = c.(R^T eps), and
-    R^T eps is a uniform direction when R is Haar-distributed. So it draws
-    directions n (cos(theta) uniform on [-1, 1], azimuth uniform on
-    [0, 2pi)) and averages (n.c)^2. Deterministic for a fixed seed;
-    converges to orientation_averaged_coupling_sq, and is exactly 0 for
-    mu = 0. Takes one emitter: a scalar xi_scale.
+    For a molecular rotation R, the combined moment c = mu + lambda m, with
+    m = s R_mu(delta) U mu the emitter's chiral_tdm_vector, projects on the
+    real polarization eps as (R c).eps = c.(R^T eps), and R^T eps is a
+    uniform direction when R is Haar-distributed. So it draws directions n
+    (cos(theta) uniform on [-1, 1], azimuth uniform on [0, 2pi)) and
+    averages (n.c)^2. Deterministic for a fixed seed; converges to
+    orientation_averaged_coupling_sq, and is exactly 0 for mu = 0. Takes one
+    emitter: a scalar xi_scale.
     """
     require_one_xi(emitter, "sample_orientation_coupling")
     if n_samples < 100:
@@ -298,8 +299,7 @@ def sample_orientation_coupling(
     n_hat = np.column_stack(
         (sin_theta * np.cos(phi), sin_theta * np.sin(phi), cos_theta)
     )
-    mu = emitter.mu
-    combined = mu + mode.handedness * emitter.xi_scale * emitter.xi_rotation @ mu
+    combined = emitter.mu + mode.handedness * chiral_tdm_vector(emitter)
     samples = (n_hat @ combined) ** 2
 
     scale = n_emitters * _coupling_sq_prefactor(emitter, mode, n_emitters)

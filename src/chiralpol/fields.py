@@ -2,36 +2,33 @@
 
 Atomic units throughout (hbar = 1). The fundamental coupling
 eta = sqrt(1/eps0*V) is a single primitive input, so eps0 and the mode
-volume never appear separately. The speed of light enters only through
-the dispersion omega = c*|k| when oblique modes are constructed; every
-coupled-model formula downstream is c-free.
+volume never appear separately. CavityMode is the vertical standing wave;
+the speed of light enters only through omega = c*|k|, which the in-plane
+dispersion scan applies per k_par, and every coupled-model formula
+downstream is c-free.
 """
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
-# a.u.; used only for the dispersion omega(k_par) = c*|k| of oblique modes
+# a.u.; used only for omega = c*|k|: the in-plane dispersion and the scans' k_z
 SPEED_OF_LIGHT_AU = 137.035999
 
 
 @dataclass(frozen=True)
 class CavityMode:
-    """Single-handedness standing-wave mode of a chiral cavity.
+    """Single-handedness vertical standing-wave mode of a chiral cavity.
 
     handedness : helicity eigenvalue, +1 (LH) or -1 (RH)
     omega_k    : photon frequency (a.u.); an array makes a batch of modes
-                 that differ only in frequency (and in theta_inc, see
-                 oblique_mode)
+                 that differ only in frequency
     eta        : fundamental coupling sqrt(1/eps0*V) (a.u.)
     k_z        : vertical wavenumber component (a.u.); equals omega_k/c for
                  the vertical vacuum mode, but is kept as an independent
                  input so the coupled-model formulas never reference c
     z          : emitter height inside the cavity (a.u.); free parameter,
                  the mirror placement is not modelled
-    theta_inc  : incidence angle of the two circulating waves (rad);
-                 0 for the vertical standing wave
     """
 
     handedness: int
@@ -39,7 +36,6 @@ class CavityMode:
     eta: float
     k_z: float
     z: float = 0.0
-    theta_inc: float = 0.0
 
     def __post_init__(self):
         if self.handedness not in (+1, -1):
@@ -48,10 +44,6 @@ class CavityMode:
             raise ValueError(f"omega_k must be positive, got {self.omega_k}")
         if not self.eta >= 0:
             raise ValueError(f"eta must be nonnegative, got {self.eta}")
-        theta = np.ravel(self.theta_inc)
-        outside = theta[~((0.0 <= theta) & (theta < np.pi / 2))]
-        if outside.size:
-            raise ValueError(f"theta_inc must lie in [0, pi/2), got {float(outside[0])!r}")
 
 
 def standing_wave_polarization(mode: CavityMode) -> np.ndarray:
@@ -59,8 +51,6 @@ def standing_wave_polarization(mode: CavityMode) -> np.ndarray:
 
     Real unit vector for every z.
     """
-    if mode.theta_inc != 0.0:
-        raise ValueError("mode is oblique (theta_inc != 0); this holds for the vertical mode only")
     arg = mode.k_z * mode.z
     return np.array([np.cos(arg), -mode.handedness * np.sin(arg), 0.0])
 
@@ -73,27 +63,9 @@ def polarization_gradient(mode: CavityMode) -> np.ndarray:
     so the quadrupole contraction Q_ab d_a eps_b lives with the emitter
     couplings, not here.
     """
-    if mode.theta_inc != 0.0:
-        raise ValueError("mode is oblique (theta_inc != 0); this holds for the vertical mode only")
     arg = mode.k_z * mode.z
     grad = np.zeros((3, 3))
     grad[2, 0] = -mode.k_z * np.sin(arg)
     grad[2, 1] = -mode.handedness * mode.k_z * np.cos(arg)
     return grad
 
-
-def oblique_mode(base: CavityMode, k_par) -> CavityMode:
-    """Mode with in-plane momentum k_par on the dispersion omega = c*|k|.
-
-    Keeps the vertical wavenumber, handedness, eta and z of `base`;
-    sets omega_k = c*sqrt(k_z^2 + k_par^2) and theta_inc = atan(k_par/k_z).
-    An array k_par gives a batch of modes, one per entry.
-    """
-    if np.any(np.less(k_par, 0)):
-        raise ValueError(f"k_par must be nonnegative, got {float(np.min(k_par))!r}")
-    k_total = np.hypot(base.k_z, k_par)
-    return dataclasses.replace(
-        base,
-        omega_k=SPEED_OF_LIGHT_AU * k_total,
-        theta_inc=np.arctan2(k_par, base.k_z),
-    )

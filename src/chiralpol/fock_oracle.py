@@ -5,8 +5,8 @@ The Hamiltonian only involves the two collective modes (the dark states are
 already eliminated); the basis keeps every |n, m> with n, m <= cutoff. The
 coupling changes both occupations by one, so each parity sector of n + m,
 ordered by n, then m, is a band of half-width about cutoff/2 in a real gauge,
-and LAPACK's band solver gives its lowest levels (two 841-dimensional sectors
-at the default cutoff 40). A sector's states and links depend only on
+and LAPACK's band solver gives its lowest levels (sectors of 841 and 840
+states at the default cutoff 40). A sector's states and links depend only on
 (cutoff, parity) and are cached; a band fills in only the couplings. The
 tests hold the faithful complex Hermitian matrix on the full basis and check
 the sectors against it.

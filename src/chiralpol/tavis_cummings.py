@@ -13,7 +13,7 @@ import numpy as np
 
 from .couplings import DerivedCouplings, elementwise
 from .emitters import Emitter, chiral_tdm_vector, require_one_xi
-from .fields import CavityMode, oblique_mode
+from .fields import SPEED_OF_LIGHT_AU, CavityMode
 from .scantable import ScanTable
 
 
@@ -79,25 +79,34 @@ def dispersion_scan(
     A regular in-plane emitter lattice makes the momentum sectors block
     diagonal, so each k_par is an independent 2x2 problem with coupling
     sqrt(N) * eta * sqrt(omega/2) * |eps(z, x=0) . (1 + lambda xi) mu| using
-    the oblique polarization at the emitter plane. The chiral factor
-    (1 + lambda xi) is k_par-independent. Quadrupole and self-correction
-    terms are dropped by the model's construction, and eta is held fixed per
-    mode (no volume rescaling with the number of retained sectors). The
-    k_par = 0 row reproduces the vertical-mode single-excitation spectrum
-    for Q = 0, chi_m = 0 emitters. Takes one emitter (a scalar xi_scale).
+    the oblique polarization at the emitter plane: the k_z of `mode` (its
+    omega_k is not read), omega = c*sqrt(k_z^2 + k_par^2) and an incidence
+    angle atan(k_par/k_z) below pi/2. The chiral factor (1 + lambda xi) is
+    k_par-independent. Quadrupole and self-correction terms are dropped by
+    the model's construction, and eta is held fixed per mode (no volume
+    rescaling with the number of retained sectors). The k_par = 0 row
+    reproduces the vertical-mode single-excitation spectrum for Q = 0,
+    chi_m = 0 emitters. Takes one emitter (a scalar xi_scale).
     """
     require_one_xi(emitter, "dispersion_scan")
     k_par = np.asarray(k_par_list, dtype=float)
-    oblique = oblique_mode(mode, k_par)  # a batch of modes, one per k_par
+    if not np.all(k_par >= 0):
+        raise ValueError(f"k_par must be nonnegative, got {float(np.min(k_par))!r}")
+    theta = np.arctan2(k_par, mode.k_z)
+    omega = SPEED_OF_LIGHT_AU * np.hypot(mode.k_z, k_par)
+    if not np.all(omega > 0):
+        raise ValueError(f"c*hypot(k_z, k_par) must be positive, got {float(np.min(omega))!r}")
+    if not np.all(theta < np.pi / 2):  # k_z <= 0, or k_par/k_z above ~1e16
+        ratio = f"{float(np.max(k_par))!r}/{mode.k_z!r}"
+        raise ValueError(f"k_par/k_z = {ratio} puts the incidence angle at pi/2 or above")
     # |eps . (mu + lambda m)| in real arithmetic, with the oblique polarization
     # at x = 0, eps = (cos(theta) cos(a), -lambda sin(a), -i sin(theta) sin(a)), a = k_z z
-    theta, arg = oblique.theta_inc, mode.k_z * mode.z
+    arg = mode.k_z * mode.z
     c0, c1, c2 = emitter.mu + mode.handedness * chiral_tdm_vector(emitter)
     contraction = np.hypot(
         np.cos(theta) * np.cos(arg) * c0 - mode.handedness * np.sin(arg) * c1,
         -np.sin(theta) * np.sin(arg) * c2,
     )
-    omega = oblique.omega_k
     # a NumPy product, so that an overflow raises under the policy
     coupling = np.sqrt(n_emitters) * mode.eta * np.sqrt(omega / 2.0) * contraction
     upper, lower = _bright_doublet(emitter.omega_m, omega, coupling)

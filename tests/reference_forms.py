@@ -61,14 +61,16 @@ def dynamical_matrix(c: DerivedCouplings, omega: float) -> np.ndarray:
     )
 
 
-def standing_wave_polarization_oblique(mode: CavityMode, x: float = 0.0) -> np.ndarray:
-    """Complex polarization of a standing wave with in-plane momentum.
+def standing_wave_polarization_oblique(
+    mode: CavityMode, theta: float, x: float = 0.0
+) -> np.ndarray:
+    """Complex polarization of a standing wave with in-plane momentum, at
+    incidence angle theta and the vertical wavenumber, handedness and z of mode.
 
     Returns (cos(theta) cos(k_z z), -lambda sin(k_z z), -i sin(theta) sin(k_z z))
     times the in-plane phase exp(i k_x x), with k_x = k_z tan(theta).
-    Reduces to standing_wave_polarization at theta_inc = 0.
+    Reduces to standing_wave_polarization at theta = 0.
     """
-    theta = mode.theta_inc
     lam = mode.handedness
     arg = mode.k_z * mode.z
     k_x = mode.k_z * np.tan(theta)

@@ -275,6 +275,20 @@ class TestMonteCarlo:
             assert estimate == (0.0, 0.0)
             assert estimate.value == orientation_averaged_coupling_sq(e, make_mode(lam=-1), 6)
 
+    def test_reads_the_roll_of_the_emitter(self):
+        # a roll about mu and the same rotation folded into U give one moment
+        # (within 1.1e-16), so they must give one estimate
+        mu, delta = np.array([1.0, 0.5, 0.2]), 1.1
+        omega_type = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        roll = rotate(delta * mu / np.linalg.norm(mu), np.eye(3)).T
+        rolled = Emitter(0.1, mu, xi_scale=0.7, xi_rotation=omega_type, roll_delta=delta)
+        folded = Emitter(0.1, mu, xi_scale=0.7, xi_rotation=roll @ omega_type)
+        estimates = [
+            sample_orientation_coupling(e, make_mode(), 10, seed=7, n_samples=1000)
+            for e in (rolled, folded)
+        ]
+        assert estimates[0] == estimates[1]
+
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_matches_closed_form_on_random_parameters(self, seed):
         rng = np.random.default_rng(seed)

@@ -5,19 +5,15 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from chiralpol.fields import (
-    SPEED_OF_LIGHT_AU,
     CavityMode,
-    oblique_mode,
     polarization_gradient,
     standing_wave_polarization,
 )
 from reference_forms import standing_wave_polarization_oblique
 
 
-def make_mode(lam=1, omega=1.0, eta=0.001, k_z=1.0, z=0.0, theta=0.0):
-    return CavityMode(
-        handedness=lam, omega_k=omega, eta=eta, k_z=k_z, z=z, theta_inc=theta
-    )
+def make_mode(lam=1, omega=1.0, eta=0.001, k_z=1.0, z=0.0):
+    return CavityMode(handedness=lam, omega_k=omega, eta=eta, k_z=k_z, z=z)
 
 
 finite = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
@@ -36,11 +32,6 @@ class TestVerticalPolarization:
     def test_quarter_wave_right_flips_sign(self):
         mode = make_mode(lam=-1, k_z=1.0, z=np.pi / 2)
         assert_allclose(standing_wave_polarization(mode), [0.0, 1.0, 0.0], atol=1e-15)
-
-    def test_oblique_mode_rejected(self):
-        mode = make_mode(theta=0.3)
-        with pytest.raises(ValueError, match="oblique"):
-            standing_wave_polarization(mode)
 
     @given(k_z=st.floats(0.01, 20.0), z=finite, lam=st.sampled_from([1, -1]))
     def test_unit_norm_everywhere(self, k_z, z, lam):
@@ -80,24 +71,23 @@ class TestObliquePolarization:
     def test_reduces_to_vertical_at_zero_angle(self):
         mode = make_mode(k_z=2.0, z=0.7)
         assert_allclose(
-            standing_wave_polarization_oblique(mode),
+            standing_wave_polarization_oblique(mode, 0.0),
             standing_wave_polarization(mode).astype(complex),
         )
 
     def test_continuous_in_angle(self):
-        vertical = make_mode(k_z=2.0, z=0.7)
-        tilted = make_mode(k_z=2.0, z=0.7, theta=1e-9)
+        mode = make_mode(k_z=2.0, z=0.7)
         assert_allclose(
-            standing_wave_polarization_oblique(tilted),
-            standing_wave_polarization(vertical).astype(complex),
+            standing_wave_polarization_oblique(mode, 1e-9),
+            standing_wave_polarization(mode).astype(complex),
             atol=1e-8,
         )
 
     def test_half_pi_quarter_wave(self):
         # theta=pi/6, k_z z = pi/2: (cos(pi/6) cos(pi/2), -1, -i/2)
-        mode = make_mode(lam=1, k_z=1.0, z=np.pi / 2, theta=np.pi / 6)
+        mode = make_mode(lam=1, k_z=1.0, z=np.pi / 2)
         assert_allclose(
-            standing_wave_polarization_oblique(mode),
+            standing_wave_polarization_oblique(mode, np.pi / 6),
             [0.0, -1.0, -0.5j],
             atol=1e-15,
         )
@@ -107,15 +97,15 @@ class TestObliquePolarization:
         # the polarization vector vanishes componentwise
         k_total = 1.0
         theta = np.pi / 2 - 1e-7
-        mode = make_mode(k_z=k_total * np.cos(theta), z=1.3, theta=theta)
-        vec = standing_wave_polarization_oblique(mode)
+        mode = make_mode(k_z=k_total * np.cos(theta), z=1.3)
+        vec = standing_wave_polarization_oblique(mode, theta)
         assert np.max(np.abs(vec)) < 1e-6
 
     def test_in_plane_phase(self):
-        mode = make_mode(k_z=1.0, z=0.5, theta=0.4)
+        mode = make_mode(k_z=1.0, z=0.5)
         k_x = np.tan(0.4)
-        at_x = standing_wave_polarization_oblique(mode, x=2.0)
-        at_origin = standing_wave_polarization_oblique(mode, x=0.0)
+        at_x = standing_wave_polarization_oblique(mode, 0.4, x=2.0)
+        at_origin = standing_wave_polarization_oblique(mode, 0.4, x=0.0)
         assert_allclose(at_x, at_origin * np.exp(1j * k_x * 2.0))
 
 
@@ -160,25 +150,11 @@ class TestCavityMode:
             dict(omega=-1.0),
             dict(omega=0.0),
             dict(eta=-0.1),
-            dict(theta=np.pi / 2),
-            dict(theta=-0.1),
+            dict(omega=np.nan),
+            dict(eta=np.nan),
+            dict(omega=np.array([1.0, 0.0])),
         ],
     )
     def test_invalid_parameters_rejected(self, kwargs):
         with pytest.raises(ValueError):
             make_mode(**kwargs)
-
-    def test_oblique_mode_dispersion(self):
-        base = make_mode(k_z=0.002, omega=SPEED_OF_LIGHT_AU * 0.002)
-        tilted = oblique_mode(base, k_par=0.0015)
-        assert tilted.omega_k == pytest.approx(
-            SPEED_OF_LIGHT_AU * np.hypot(0.002, 0.0015), rel=1e-14
-        )
-        assert tilted.theta_inc == pytest.approx(np.arctan2(0.0015, 0.002))
-        assert tilted.k_z == base.k_z
-        assert oblique_mode(base, 0.0).theta_inc == 0.0
-
-    def test_oblique_mode_rejects_negative_k_par(self):
-        base = make_mode(k_z=0.002)
-        with pytest.raises(ValueError, match="k_par"):
-            oblique_mode(base, -0.1)

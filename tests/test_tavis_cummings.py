@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,11 +9,7 @@ from numpy.testing import assert_allclose
 
 from chiralpol.couplings import DerivedCouplings, derive_couplings
 from chiralpol.emitters import Emitter, chiral_tdm_vector
-from chiralpol.fields import (
-    SPEED_OF_LIGHT_AU,
-    CavityMode,
-    oblique_mode,
-)
+from chiralpol.fields import SPEED_OF_LIGHT_AU, CavityMode
 from chiralpol.hopfield import polariton_frequencies
 from chiralpol.tavis_cummings import dispersion_scan, single_excitation_spectrum
 from reference_forms import standing_wave_polarization_oblique
@@ -184,6 +181,14 @@ class TestDispersionScan:
             record["omega_mode"], rel=1e-3
         )
 
+    def test_omega_mode_is_c_times_the_wavenumber(self):
+        emitter = Emitter.collinear(self.omega_m, [1.5, 0, 0], xi=0.2)
+        k_pars = [0.0, 0.75 * self.k_z, 1.5e-3, 3 * self.k_z]
+        table = dispersion_scan(emitter, self.mode, k_pars, n_emitters=25)
+        omega = table.column("omega_mode")
+        assert omega == (SPEED_OF_LIGHT_AU * np.hypot(self.k_z, k_pars)).tolist()
+        assert omega[0] == SPEED_OF_LIGHT_AU * self.k_z
+
     def test_chiral_factor_is_k_par_independent(self):
         matched = Emitter.collinear(self.omega_m, [1.5, 0, 0], xi=0.5)
         blind = Emitter.collinear(self.omega_m, [1.5, 0, 0], xi=0.0)
@@ -208,23 +213,33 @@ class TestDispersionScan:
         assert table.column("polariton_lower") == np.minimum(omega, omega_m).tolist()
 
     def test_rejects_a_grazing_incidence_angle(self):
+        # and every other k_par for which no mode on omega = c|k| exists
         emitter = Emitter.collinear(self.omega_m, [1.5, 0, 0], xi=0.2)
-        with pytest.raises(ValueError, match="theta_inc"):
+        with pytest.raises(ValueError, match=r"k_par/k_z = 1e\+300/0.00072"):
             dispersion_scan(emitter, self.mode, [0.0, 1e300], n_emitters=4)
-        with pytest.raises(ValueError, match="k_par must be nonnegative"):
-            dispersion_scan(emitter, self.mode, [-1e-4], n_emitters=4)
+        backwards = dataclasses.replace(self.mode, k_z=-self.k_z)
+        with pytest.raises(ValueError, match="k_par/k_z = 0.0/-0.00072.* pi/2 or above"):
+            dispersion_scan(emitter, backwards, [0.0], n_emitters=4)
+        for k_pars in ([-1e-4], [0.0, np.nan]):
+            with pytest.raises(ValueError, match="k_par must be nonnegative"):
+                dispersion_scan(emitter, self.mode, k_pars, n_emitters=4)
+        flat = dataclasses.replace(self.mode, k_z=0.0)
+        with pytest.raises(ValueError, match=r"c\*hypot\(k_z, k_par\) must be positive, got 0.0"):
+            dispersion_scan(emitter, flat, [0.0], n_emitters=4)
 
 
 def reference_dispersion_rows(emitter, mode, k_pars, n_emitters):
-    """One scalar oblique mode and complex polarization per k_par."""
+    """One scalar angle, frequency and complex polarization per k_par."""
     combined = emitter.mu + mode.handedness * chiral_tdm_vector(emitter)
     rows = []
     for k_par in k_pars:
-        row_mode = oblique_mode(mode, float(k_par))
-        eps = standing_wave_polarization_oblique(row_mode, x=0.0)
-        coupling = math.sqrt(n_emitters) * mode.eta * math.sqrt(row_mode.omega_k / 2.0)
+        # numpy's hypot, as dispersion_scan: math.hypot can differ in the last bit
+        theta = float(np.arctan2(k_par, mode.k_z))
+        omega = SPEED_OF_LIGHT_AU * float(np.hypot(mode.k_z, k_par))
+        eps = standing_wave_polarization_oblique(mode, theta, x=0.0)
+        coupling = math.sqrt(n_emitters) * mode.eta * math.sqrt(omega / 2.0)
         coupling *= float(abs(np.sum(eps * combined)))
-        omega_m, omega = emitter.omega_m, row_mode.omega_k
+        omega_m = emitter.omega_m
         if coupling == 0.0:
             upper, lower = max(omega_m, omega), min(omega_m, omega)
         else:
