@@ -119,27 +119,21 @@ def _require(ok: bool, key: str, value, requirement: str = "must be positive") -
 def _stage(values: dict, compute: Callable[[dict], object]):
     """compute(values); an OverflowError it raises is named by its key.
 
-    On an OverflowError, compute runs again with the emitter keys at neutral
-    values: identity xi_rotation, zero quadrupole and chi_m, no roll, and mu
-    divided by its largest |component| when that is above 1. If that runs,
-    the keys go back one at a time, in the order the emitter checks them,
-    and the first whose own value brings the failure back is named
-    ("numeric overflow in chi_m"). Otherwise the stage's own error stands.
+    On an OverflowError, compute runs again with every system key at its
+    parsed default, except mu, which keeps its direction and is divided by
+    its largest |component| when that is above 1. If that runs, the keys go
+    back one at a time, in `_system_from` order, and the first whose own
+    value brings the failure back is named ("numeric overflow in chi_m").
+    Otherwise the stage's own error stands.
     """
     try:
         return compute(values)
     except OverflowError as err:
-        size = np.max(np.abs(values["mu"]))
-        trial = {
-            **values,
-            "xi_rotation": np.eye(3),
-            "quadrupole": np.zeros((3, 3)),
-            "chi_m": np.zeros((3, 3)),
-            "roll_delta": 0.0,
-            "mu": values["mu"] / size if size > 1.0 else values["mu"],
-        }
+        neutral = _system_from(_SYSTEM_DEFAULTS)
+        neutral["mu"] = values["mu"] / max(1.0, np.max(np.abs(values["mu"])))
+        trial = {**values, **neutral}
         if _runs(compute, trial):
-            for key in ("xi_rotation", "quadrupole", "chi_m", "roll_delta", "mu"):
+            for key in neutral:
                 trial[key] = values[key]
                 if not _runs(compute, trial):
                     raise OverflowError(f"numeric overflow in {key}") from err
@@ -169,9 +163,13 @@ def _system_from(table: dict) -> dict:
     under the package floating-point policy, so an input that overflows
     there is one error and no warning. The emitter's check runs through
     `_stage`, whose rerun rule names the key that overflowed, as it does for
-    a scan stage.
+    a scan stage; that rerun's neutral values are `_SYSTEM_DEFAULTS` parsed here.
     """
     omega_m = config_float(table, "omega_m")
+    # `_stage` puts keys back in this order and names the first that brings
+    # an overflow back. Mode keys and z go first, so the emitter key that
+    # meets their field is named (at z = 0 a quadrupole sees no x gradient).
+    # mu goes last, so a huge mu is named rather than the roll that reads |mu|.
     system = {
         "omega_m": omega_m,
         # k_z = omega_m/c is the resonant vertical vacuum mode; it only enters
@@ -179,12 +177,12 @@ def _system_from(table: dict) -> dict:
         "k_z": _auto(table, "k_z", omega_m / SPEED_OF_LIGHT_AU),
         "handedness": config_int(table, "handedness"),
         "eta": config_float(table, "eta"),
-        "mu": config_floats(table, "mu", 3),
+        "z": config_float(table, "z"),
+        "xi_rotation": config_floats(table, "xi_rotation", 9).reshape(3, 3),
         "quadrupole": config_floats(table, "quadrupole", 9).reshape(3, 3),
         "chi_m": config_floats(table, "chi_m", 9).reshape(3, 3),
-        "xi_rotation": config_floats(table, "xi_rotation", 9).reshape(3, 3),
         "roll_delta": config_float(table, "roll_delta"),
-        "z": config_float(table, "z"),
+        "mu": config_floats(table, "mu", 3),
     }
     _stage(system, lambda v: chiral_tdm_vector(_emitter(v, 0.0)))
     _mode(system, omega_m)

@@ -318,6 +318,14 @@ class TestExitCodes:
             ["scan-cavity", "--set", "quadrupole=0,0,1e200,0,0,0,1e200,0,0", "--set", "z=3"],
             "quadrupole",
         ),
+        (["scan-n", "--set", "eta=1e155"], "eta"),
+        (["scan-cavity", "--set", "eta=1e308"], "eta"),
+        (["scan-cavity", "--set", "k_z=1e300"], "k_z"),
+        (["scan-n", "--set", "k_z=-1e300"], "k_z"),
+        (["scan-n", "--set", "omega_m=1e100", "--set", "omega_k=1e-155"], "omega_m"),
+        # mu keeps its direction in the rerun: at its default (2,0,0) the
+        # huge xi overflows the rerun too, and only the stage is named
+        (["scan-n", "--set", "mu=0,1e155,0", "--set", "xi=1e155"], "mu"),
     ]
 
     @pytest.mark.parametrize(
@@ -328,7 +336,7 @@ class TestExitCodes:
     def test_system_check_overflow_is_one_line_without_warnings(self, argv, key):
         # the reference emitter's |mu|, U'U or Q - Q' overflows before any
         # scan runs, or a huge mu, Q or chi_m overflows only in a scan stage;
-        # either way the rerun with the emitter keys put back names the key
+        # either way the rerun with the system keys put back names the key
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = run_cli(argv)
@@ -545,6 +553,12 @@ class TestCliProperty:
             }
             if code == 1:
                 assert err.startswith("config error:") and err.count("\n") == 1, err
+                # an overflow names a menu key or a <module>.<function> stage,
+                # never a closure (<locals>) or a <lambda>
+                named = re.fullmatch(r"config error: numeric overflow in (.*)\n", err)
+                if named:
+                    stage = re.fullmatch(r"\w+(\.\w+)+", named[1])
+                    assert named[1] in CLI_MENUS[argv[0]] or stage, err
                 assert out.read_text() == ""
                 return
             assert code in expected_err and err == expected_err[code], (code, err)
